@@ -8,17 +8,16 @@
 //   synth_rewrite / synth_solve / synth_extract
 //       phase breakdown of one full Synthesizer run (SynthesisStats);
 //   saturate_warm / saturate_rest
-//       the two saturation stages of the staged engine experiment below;
+//       saturation in two stages (a few iterations, then the rest), so the
+//       rows stay comparable with earlier trajectories;
 //   onebest_worklist / onebest_oracle
 //       worklist one-best derivation vs the whole-graph fixed point;
-//   kbest_initial / kbest_refresh / kbest_scratch / kbest_oracle
-//       k-best derivation on the warm graph, incremental refresh after the
-//       rest of saturation, a from-scratch worklist derivation of the same
-//       final graph, and the fixed-point oracle.
+//   kbest_scratch / kbest_oracle
+//       worklist k-best derivation of the saturated graph vs the
+//       fixed-point oracle.
 //
-// The refresh-vs-scratch pair is the incrementality headline: refresh cost
-// tracks the dirty closure, scratch cost tracks graph size. Every engine
-// result is cross-checked against its oracle before timing is reported.
+// Every engine result is cross-checked against its oracle before timing
+// is reported.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +90,7 @@ int main() {
     timeRow(Report, Name, "synth_extract", R.Stats.ExtractSeconds,
             R.Stats.EClasses, R.Stats.ENodes);
 
-    // Staged saturation: warm graph -> engines -> rest -> refresh.
+    // Staged saturation: a few iterations, then the rest.
     EGraph G;
     EClassId Root = G.addTerm(M.FlatCsg);
     G.rebuild();
@@ -103,20 +102,10 @@ int main() {
     timeRow(Report, Name, "saturate_warm", WarmTimer.seconds(),
             G.numClasses(), G.numNodes());
 
-    WallTimer KInitTimer;
-    KBestExtractor KEngine(G, Cost, TopK);
-    timeRow(Report, Name, "kbest_initial", KInitTimer.seconds(),
-            G.numClasses(), G.numNodes());
-
     WallTimer RestTimer;
     Runner Rest(RunnerLimits{});
     Rest.run(G, Rules);
     timeRow(Report, Name, "saturate_rest", RestTimer.seconds(),
-            G.numClasses(), G.numNodes());
-
-    WallTimer RefreshTimer;
-    KEngine.refresh();
-    timeRow(Report, Name, "kbest_refresh", RefreshTimer.seconds(),
             G.numClasses(), G.numNodes());
 
     WallTimer OneTimer;
@@ -145,10 +134,9 @@ int main() {
     WorklistTotal += OneSec + KSec;
     OracleTotal += OneOracleSec + KOracleSec;
 
-    // Cross-checks: refresh == scratch == oracle at the root; one-best
-    // engines agree on cost and term.
+    // Cross-checks: scratch == oracle at the root; one-best engines agree
+    // on cost and term.
     bool Identical =
-        sameRanking(KEngine.extract(Root), KScratch.extract(Root)) &&
         sameRanking(KScratch.extract(Root), KOracle.extract(Root)) &&
         OneBest.bestCost(Root) == OneOracle.bestCost(Root) &&
         termEquals(OneBest.extract(Root), OneOracle.extract(Root));

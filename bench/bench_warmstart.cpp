@@ -80,8 +80,6 @@ WarmStart toWarmStart(const SynthesisResult &Captured, bool SameInput) {
   WarmStart W;
   W.Graph = Captured.Snapshot.Graph;
   W.Cursors = Captured.Snapshot.Cursors;
-  W.Extract = Captured.Snapshot.Extract;
-  W.ExtractUsable = true;
   W.SameInput = SameInput;
   return W;
 }

@@ -289,8 +289,7 @@ EGraph::canonicalParents(EClassId Id) const {
 std::vector<EClassId> EGraph::takeDirtySince(uint64_t Since) const {
   assert(!isDirty() && "dirty query on an unrebuilt graph");
   // A cursor behind the compaction floor can no longer be answered from
-  // the log; every class is a sound (if maximal) answer. Leased cursors
-  // never land here — compactDirtyLog keeps their suffixes alive.
+  // the log; every class is a sound (if maximal) answer.
   if (Since < DirtyFloor)
     return classIds();
   // Seed with the touch-log suffix after Since (gens are strictly
@@ -325,8 +324,6 @@ std::vector<EClassId> EGraph::takeDirtySince(uint64_t Since) const {
 }
 
 void EGraph::compactDirtyLog(uint64_t MinLiveGen) {
-  for (const auto &[Lease, Gen_] : DirtyLeases)
-    MinLiveGen = std::min(MinLiveGen, Gen_);
   if (MinLiveGen <= DirtyFloor)
     return; // nothing new to drop
   auto End = std::upper_bound(
@@ -336,25 +333,6 @@ void EGraph::compactDirtyLog(uint64_t MinLiveGen) {
       });
   DirtyLog.erase(DirtyLog.begin(), End);
   DirtyFloor = MinLiveGen;
-}
-
-uint64_t EGraph::acquireDirtyLease(uint64_t Gen_) const {
-  uint64_t Lease = NextDirtyLease++;
-  DirtyLeases.emplace(Lease, Gen_);
-  return Lease;
-}
-
-void EGraph::updateDirtyLease(uint64_t Lease, uint64_t Gen_) const {
-  auto It = DirtyLeases.find(Lease);
-  assert(It != DirtyLeases.end() && "unknown dirty lease");
-  assert(It->second <= Gen_ && "dirty lease must advance monotonically");
-  It->second = Gen_;
-}
-
-void EGraph::releaseDirtyLease(uint64_t Lease) const {
-  size_t Erased = DirtyLeases.erase(Lease);
-  (void)Erased;
-  assert(Erased == 1 && "releasing an unknown dirty lease");
 }
 
 void EGraph::prepareForConcurrentReads() const {

@@ -182,15 +182,15 @@ public:
   /// clean graph. Cost is proportional to the closure, not graph size.
   ///
   /// If the log prefix covering \p Since has been dropped by
-  /// compactDirtyLog() (possible only for cursors never registered as a
-  /// lease), the result degrades soundly to *every* class — an
-  /// over-approximation that costs a full rescan but never misses a
+  /// compactDirtyLog() (possible only for cursors older than the one the
+  /// log was compacted to), the result degrades soundly to *every* class
+  /// — an over-approximation that costs a full rescan but never misses a
   /// touch.
   std::vector<EClassId> takeDirtySince(uint64_t Since) const;
 
   /// Truncates the append-only touch log behind takeDirtySince: entries at
-  /// generations <= min(\p MinLiveGen, every registered lease) can no
-  /// longer be requested by a live cursor and are dropped. The Runner
+  /// generations <= \p MinLiveGen can no longer be requested by a live
+  /// cursor and are dropped. The Runner
   /// calls this once per saturation iteration with the minimum of its
   /// rules' search cursors, which bounds log growth to one saturation
   /// run's churn instead of the session's.
@@ -199,19 +199,6 @@ public:
   /// Number of entries currently held by the touch log (tests assert
   /// bounded growth across long sessions).
   size_t dirtyLogSize() const { return DirtyLog.size(); }
-
-  /// Registers a long-lived reader cursor (e.g. an incremental extraction
-  /// engine) at generation \p Gen: compactDirtyLog() will keep every log
-  /// entry newer than \p Gen until the lease advances or is released.
-  /// Returns the lease id. const: leases are bookkeeping about readers,
-  /// not graph state.
-  uint64_t acquireDirtyLease(uint64_t Gen) const;
-
-  /// Advances lease \p Lease to generation \p Gen (monotonically).
-  void updateDirtyLease(uint64_t Lease, uint64_t Gen) const;
-
-  /// Drops lease \p Lease; its entries become reclaimable.
-  void releaseDirtyLease(uint64_t Lease) const;
 
   /// Quiesces the lazily-mutated state behind the const queries the
   /// match VM and rule guards use: fully compresses the union-find, after
@@ -268,9 +255,8 @@ public:
   /// behind a magic/version/checksum header (see docs/ARCHITECTURE.md,
   /// "Snapshot format"). Restoring and continuing is bit-identical to
   /// never having snapshotted: dumps match and subsequent saturation or
-  /// extraction visits the same classes in the same order. Reader leases
-  /// (acquireDirtyLease) are bookkeeping about *live* readers and are not
-  /// serialized. Requires a clean graph. Implemented in Snapshot.cpp.
+  /// extraction visits the same classes in the same order. Requires a
+  /// clean graph. Implemented in Snapshot.cpp.
   void serialize(std::ostream &Os) const;
 
   /// Restores a snapshot written by serialize() into *this, which must be
@@ -318,11 +304,6 @@ private:
   /// gens <= DirtyFloor are gone, so takeDirtySince(Since) is exact only
   /// for Since >= DirtyFloor (below it falls back to all classes).
   uint64_t DirtyFloor = 0;
-  /// Live reader leases: lease id -> the oldest generation that reader may
-  /// still pass to takeDirtySince. mutable: reader bookkeeping, not graph
-  /// state.
-  mutable std::unordered_map<uint64_t, uint64_t> DirtyLeases;
-  mutable uint64_t NextDirtyLease = 1;
   /// Generation as of the last prepareForConcurrentReads(); when it still
   /// matches, the union-find is known fully compressed.
   mutable uint64_t PreparedGen = 0;

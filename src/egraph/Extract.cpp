@@ -5,13 +5,11 @@
 // a whole-graph fixed-point oracle used by the differential tests. The
 // engines share the deterministic tie-break (and, for k-best, the per-class
 // lazy combination), so on any graph they produce bit-identical results;
-// they differ in *scheduling*, which is where incrementality bugs would
-// live.
+// they differ in *scheduling*, which is where worklist bugs would live.
 //
 //===----------------------------------------------------------------------===//
 
 #include "egraph/Extract.h"
-#include "egraph/SnapshotCodec.h"
 
 #include <cassert>
 #include <queue>
@@ -88,7 +86,7 @@ inline const double *findCost(const std::unordered_map<EClassId, double> &Costs,
 /// child is still unextractable. Children are resolved through find(), so
 /// stale node forms cost correctly. \p Kids is caller-owned scratch —
 /// relaxation calls this once per (class, node) visit, and a fresh
-/// allocation per call dominated the one-best refresh profile.
+/// allocation per call dominated the one-best derivation profile.
 template <typename CostTable>
 std::optional<double> nodeCost(const EGraph &G, const CostFn &Fn,
                                const CostTable &Costs, const ENode &Node,
@@ -330,56 +328,7 @@ TermPtr buildFromChoices(
 
 Extractor::Extractor(const EGraph &G, const CostFn &Fn) : G(G), Fn(Fn) {
   assert(!G.isDirty() && "extraction on a dirty e-graph");
-  deriveFrom(G.classIds());
-  SyncedGen = G.generation();
-  // The lease keeps the Runner's dirty-log compaction from dropping the
-  // suffix refresh() will request.
-  DirtyLease = G.acquireDirtyLease(SyncedGen);
-}
-
-Extractor::~Extractor() { G.releaseDirtyLease(DirtyLease); }
-
-namespace {
-
-/// Erases every row of \p Table whose key is no longer canonical. Stale
-/// rows are unreachable (lookups canonicalize through find() first), so
-/// dropping them never changes results — but in long-lived sessions the
-/// merge churn of many saturation rounds leaves tables dominated by
-/// superseded keys. Callers sweep only when stale rows dominate
-/// (amortized O(1) per refresh).
-template <typename Map> void eraseStaleRows(const EGraph &G, Map &Table) {
-  for (auto It = Table.begin(); It != Table.end();) {
-    if (G.find(It->first) != It->first)
-      It = Table.erase(It);
-    else
-      ++It;
-  }
-}
-
-} // namespace
-
-void Extractor::refresh() {
-  assert(!G.isDirty() && "refresh on a dirty e-graph");
-  if (G.generation() == SyncedGen) {
-    G.updateDirtyLease(DirtyLease, SyncedGen);
-    return;
-  }
-  // Only classes in the dirty closure can change their best term: a class
-  // outside it gained no nodes, joined no merge, and every child of its
-  // nodes kept its cost (else that child would be dirty and this class in
-  // its ancestor closure).
-  deriveFrom(G.takeDirtySince(SyncedGen));
-  SyncedGen = G.generation();
-  G.updateDirtyLease(DirtyLease, SyncedGen);
-  BuildMemo.clear();
-  if (CostsLive > 2 * G.numClasses()) {
-    for (EClassId Id = 0; Id < Costs.size(); ++Id)
-      if (Costs[Id] < UnsetCost && G.find(Id) != Id) {
-        Costs[Id] = UnsetCost;
-        --CostsLive;
-      }
-    eraseStaleRows(G, Choices);
-  }
+  derive();
 }
 
 bool Extractor::relax(EClassId Id, const ENode &Node) {
@@ -403,22 +352,17 @@ bool Extractor::relax(EClassId Id, const ENode &Node) {
   }
   if (!Better)
     return false;
-  if (Absent)
-    ++CostsLive;
   Slot = *C;
   Choices.insert_or_assign(Id, Node);
   return true;
 }
 
-void Extractor::deriveFrom(const std::vector<EClassId> &Seeds) {
-  // The graph may have allocated ids since the last derivation; new slots
-  // start unset. The id space never shrinks, so this never drops entries.
-  if (Costs.size() < G.numIds())
-    Costs.resize(G.numIds(), UnsetCost);
+void Extractor::derive() {
+  Costs.assign(G.numIds(), UnsetCost);
   std::vector<EClassId> WL;
   // Dense membership bytes (indexed by class id): the worklist churns
   // through every cost improvement, and a hashed set here showed up in
-  // the refresh profile.
+  // the derivation profile.
   std::vector<uint8_t> InWL(G.numIds(), 0);
   auto push = [&](EClassId Id) {
     if (!InWL[Id]) {
@@ -427,12 +371,10 @@ void Extractor::deriveFrom(const std::vector<EClassId> &Seeds) {
     }
   };
 
-  // Re-derive every seed from its full node set (a seed may have gained
-  // nodes, absorbed a merge partner, or had a child's cost change), then
-  // propagate improvements upward: a cost change at a class can only be
-  // observed by the e-nodes that reference it, i.e. its parent index.
-  for (EClassId S : Seeds) {
-    EClassId Id = G.find(S);
+  // Cost every class from its full node set, then propagate improvements
+  // upward: a cost change at a class can only be observed by the e-nodes
+  // that reference it, i.e. its parent index.
+  for (EClassId Id : G.classIds()) {
     bool Improved = false;
     for (const ENode &Node : G.eclass(Id).Nodes)
       Improved = relax(Id, Node) || Improved;
@@ -465,82 +407,6 @@ const ENode *Extractor::choiceNode(EClassId Id) const {
 
 TermPtr Extractor::build(EClassId Id) const {
   return buildFromChoices(G, Choices, BuildMemo, Id);
-}
-
-//===----------------------------------------------------------------------===//
-// One-best extraction: state save/restore (snapshot tier)
-//===----------------------------------------------------------------------===//
-
-Extractor::Extractor(RestoreTag, const EGraph &G, const CostFn &Fn)
-    : G(G), Fn(Fn) {
-  // Empty engine: no derivation. The lease is taken at the current
-  // generation so the dirty-log suffix restoreState() will validate
-  // against cannot be compacted away between construction and restore.
-  SyncedGen = G.generation();
-  DirtyLease = G.acquireDirtyLease(SyncedGen);
-}
-
-std::string Extractor::saveState() const {
-  snapcodec::Writer W;
-  W.u64(SyncedGen);
-  // Rows in ascending class-id order (the dense table's natural order):
-  // the blob must be a pure function of the logical state.
-  W.u32(static_cast<uint32_t>(CostsLive));
-  for (EClassId Id = 0; Id < Costs.size(); ++Id) {
-    if (!(Costs[Id] < UnsetCost))
-      continue;
-    W.u32(Id);
-    W.f64(Costs[Id]);
-    W.node(Choices.at(Id));
-  }
-  return W.take();
-}
-
-std::string Extractor::restoreState(std::string_view Bytes) {
-  snapcodec::Reader R{std::string(Bytes)};
-  std::string Err;
-  const uint64_t Gen = R.u64();
-  if (!R.ok())
-    return "truncated extraction state";
-  // The blob only makes sense on the graph it was saved against, at the
-  // exact generation it was saved at (the caller restores the graph
-  // snapshot first, then this).
-  if (Gen != G.generation())
-    return "extraction state generation mismatch";
-  const uint32_t NumRows = R.u32();
-  // Minimum row: u32 id + f64 cost + 5-byte node.
-  if (!R.ok() || !R.fits(NumRows, 17))
-    return "truncated extraction state";
-  const uint32_t NumIds = static_cast<uint32_t>(G.numIds());
-  Costs.assign(NumIds, UnsetCost);
-  CostsLive = 0;
-  Choices.clear();
-  uint32_t PrevId = 0;
-  for (uint32_t I = 0; I < NumRows; ++I) {
-    const uint32_t Id = R.u32();
-    if (!R.ok() || Id >= NumIds)
-      return "extraction state class id out of range";
-    if (I != 0 && Id <= PrevId)
-      return "extraction state rows not strictly ascending";
-    PrevId = Id;
-    if (G.find(Id) != Id)
-      return "extraction state row keyed by a non-canonical class";
-    const double Cost = R.f64();
-    if (!R.ok() || !(Cost < UnsetCost))
-      return "invalid extraction cost";
-    std::optional<ENode> Choice = R.node(NumIds, Err);
-    if (!Choice)
-      return Err.empty() ? "truncated extraction choice" : Err;
-    Costs[Id] = Cost;
-    ++CostsLive;
-    Choices.emplace(Id, std::move(*Choice));
-  }
-  if (!R.ok() || !R.atEnd())
-    return "trailing bytes after extraction state";
-  SyncedGen = Gen;
-  G.updateDirtyLease(DirtyLease, SyncedGen);
-  BuildMemo.clear();
-  return "";
 }
 
 //===----------------------------------------------------------------------===//
@@ -612,25 +478,7 @@ KBestExtractor::KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
       OneBest(G, Fn) {
   assert(!G.isDirty() && "extraction on a dirty e-graph");
   assert(K >= 1 && "k must be positive");
-  deriveFrom(G.classIds());
-  SyncedGen = G.generation();
-  DirtyLease = G.acquireDirtyLease(SyncedGen);
-}
-
-KBestExtractor::~KBestExtractor() { G.releaseDirtyLease(DirtyLease); }
-
-void KBestExtractor::refresh() {
-  assert(!G.isDirty() && "refresh on a dirty e-graph");
-  if (G.generation() == SyncedGen) {
-    G.updateDirtyLease(DirtyLease, SyncedGen);
-    return;
-  }
-  OneBest.refresh(); // priorities and extractability must be current first
-  deriveFrom(G.takeDirtySince(SyncedGen));
-  SyncedGen = G.generation();
-  G.updateDirtyLease(DirtyLease, SyncedGen);
-  if (Table.size() > 2 * G.numClasses())
-    eraseStaleRows(G, Table);
+  derive();
 }
 
 namespace {
@@ -643,7 +491,7 @@ constexpr size_t ParallelWaveThreshold = 64;
 
 } // namespace
 
-void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
+void KBestExtractor::derive() {
   // Wave-scheduled worklist (docs/ARCHITECTURE.md, "Parallel k-best
   // extraction"). Each round selects the pending classes whose node
   // children are all settled (children first, so the common acyclic case
@@ -695,14 +543,14 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
       Recheck.push_back(Id);
     }
   };
-  for (EClassId Id : Seeds)
+  for (EClassId Id : G.classIds())
     enqueue(Id);
   if (NumPending == 0)
     return;
 
   // Concurrent combines only read the graph through find()/eclass();
   // compress the union-find once so those reads are write-free.
-  // (deriveFrom never mutates the graph, so this covers every wave.)
+  // (derive never mutates the graph, so this covers every wave.)
   G.prepareForConcurrentReads();
 
   auto isReady = [&](EClassId Id) {
@@ -786,11 +634,12 @@ void KBestExtractor::deriveFrom(const std::vector<EClassId> &Seeds) {
       // Intern this member's rows now — the commit loop is the one serial
       // writer of the row store, and wave order is a pure function of the
       // graph, so row ids are identical at every thread count. Interning
-      // an unchanged candidate is a dedup hit, not growth — and the
-      // steady state of a refresh re-derives exactly the previous list,
-      // so each pending row is first checked against the same position
-      // of the previous list (operator + kid row ids is full structural
-      // identity), skipping the hash probe entirely on a match.
+      // an unchanged candidate is a dedup hit, not growth — and a class
+      // recombined again (a cycle member re-enqueued by a changed child)
+      // mostly re-derives its previous list, so each pending row is first
+      // checked against the same position of the previous list (operator
+      // + kid row ids is full structural identity), skipping the hash
+      // probe entirely on a match.
       NewList.clear();
       NewList.reserve(Results[I].size());
       for (size_t C = 0; C < Results[I].size(); ++C) {
@@ -1089,201 +938,6 @@ KBestExtractor::combineClass(EClassId Id) const {
     }
   }
   return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// Top-k extraction: state save/restore (snapshot tier)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-constexpr uint32_t KBestFormatVersion = 1;
-
-} // namespace
-
-std::string KBestExtractor::saveState() const {
-  snapcodec::Writer W;
-  W.u32(KBestFormatVersion);
-  W.u64(K);
-  W.str(OneBest.saveState());
-  W.u64(SyncedGen);
-
-  // Candidate rows in ascending class-id order (the table iterates in
-  // hash order; the blob must be canonical). Empty rows are dropped: a
-  // missing row and an empty row are indistinguishable through lookups.
-  std::vector<EClassId> Ids;
-  Ids.reserve(Table.size());
-  for (const auto &[Id, Cands] : Table)
-    if (!Cands.empty())
-      Ids.push_back(Id);
-  std::sort(Ids.begin(), Ids.end());
-
-  // Structure pool: every candidate emitted once as a back-referencing
-  // DAG (children before parents). The flat row store *is* already that
-  // DAG — deduplicated and immutable — so emission walks rows directly
-  // and never materializes a term. The pool is written to a side buffer
-  // first — pool size precedes pool bytes.
-  snapcodec::Writer PoolW;
-  std::unordered_map<uint32_t, uint32_t> PoolIdx; // row id -> pool index
-  std::vector<std::pair<uint32_t, uint32_t>> Stack;
-  auto poolEmit = [&](uint32_t Root) -> uint32_t {
-    auto Hit = PoolIdx.find(Root);
-    if (Hit != PoolIdx.end())
-      return Hit->second;
-    Stack.clear();
-    Stack.emplace_back(Root, 0);
-    while (!Stack.empty()) {
-      auto &[R, NextKid] = Stack.back();
-      if (PoolIdx.count(R)) {
-        Stack.pop_back();
-        continue;
-      }
-      const CandRow &Row = Rows[R];
-      const uint32_t N = Row.KidsEnd - Row.KidsBegin;
-      if (NextKid < N) {
-        const uint32_t Kid = RowKids[Row.KidsBegin + NextKid];
-        ++NextKid;
-        if (!PoolIdx.count(Kid))
-          Stack.emplace_back(Kid, 0);
-        continue;
-      }
-      PoolW.op(Row.Operator);
-      PoolW.u32(N);
-      for (uint32_t I = 0; I < N; ++I)
-        PoolW.u32(PoolIdx.at(RowKids[Row.KidsBegin + I]));
-      PoolIdx.emplace(R, static_cast<uint32_t>(PoolIdx.size()));
-      Stack.pop_back();
-    }
-    return PoolIdx.at(Root);
-  };
-  std::vector<std::vector<uint32_t>> RowRefs(Ids.size());
-  for (size_t I = 0; I < Ids.size(); ++I)
-    for (const CandRef &C : Table.at(Ids[I]))
-      RowRefs[I].push_back(poolEmit(C.Row));
-
-  W.u32(static_cast<uint32_t>(PoolIdx.size()));
-  W.str(PoolW.bytes());
-  W.u32(static_cast<uint32_t>(Ids.size()));
-  for (size_t I = 0; I < Ids.size(); ++I) {
-    const std::vector<CandRef> &Cands = Table.at(Ids[I]);
-    W.u32(Ids[I]);
-    W.u32(static_cast<uint32_t>(Cands.size()));
-    for (size_t C = 0; C < Cands.size(); ++C) {
-      W.f64(Cands[C].Cost);
-      W.u32(RowRefs[I][C]);
-    }
-  }
-  return W.take();
-}
-
-KBestExtractor::KBestExtractor(Extractor::RestoreTag Tag, const EGraph &G,
-                               const CostFn &Fn, size_t K, size_t NumThreads)
-    : G(G), Fn(Fn), K(K), Threads(resolveThreads(NumThreads)),
-      OneBest(Tag, G, Fn) {
-  SyncedGen = G.generation();
-  DirtyLease = G.acquireDirtyLease(SyncedGen);
-}
-
-std::unique_ptr<KBestExtractor>
-KBestExtractor::restore(const EGraph &G, const CostFn &Fn, size_t K,
-                        size_t NumThreads, std::string_view Bytes,
-                        std::string &Err) {
-  assert(K >= 1 && "k must be positive");
-  std::unique_ptr<KBestExtractor> E(
-      new KBestExtractor(Extractor::RestoreTag{}, G, Fn, K, NumThreads));
-  Err = E->restoreState(Bytes);
-  if (!Err.empty())
-    return nullptr;
-  return E;
-}
-
-std::string KBestExtractor::restoreState(std::string_view Bytes) {
-  snapcodec::Reader R{std::string(Bytes)};
-  std::string Err;
-  if (R.u32() != KBestFormatVersion || !R.ok())
-    return "unsupported k-best state format version";
-  if (R.u64() != K || !R.ok())
-    return "k-best state saved with a different k";
-  if (std::string E = OneBest.restoreState(R.str()); !E.empty())
-    return E;
-  const uint64_t Gen = R.u64();
-  if (!R.ok())
-    return "truncated k-best state";
-  if (Gen != G.generation())
-    return "k-best state generation mismatch";
-
-  // Structure pool: decode straight into interned rows, children-first —
-  // no term is materialized. Child references must point strictly
-  // backwards, which both guarantees acyclicity and lets one forward
-  // pass intern every row.
-  const uint32_t NumPool = R.u32();
-  std::string PoolBytes = R.str();
-  if (!R.ok())
-    return "truncated k-best pool";
-  snapcodec::Reader PR{std::move(PoolBytes)};
-  std::vector<uint32_t> PoolRow; // pool index -> row id
-  PoolRow.reserve(NumPool);
-  std::vector<uint32_t> KidRows;
-  std::vector<size_t> KidHashes;
-  for (uint32_t I = 0; I < NumPool; ++I) {
-    std::optional<Op> O = PR.op(Err);
-    if (!O)
-      return Err.empty() ? "truncated k-best pool" : Err;
-    const uint32_t Arity = PR.u32();
-    const int Fixed = opArity(O->kind());
-    if (!PR.ok() || (Fixed >= 0 && static_cast<uint32_t>(Fixed) != Arity) ||
-        !PR.fits(Arity, 4))
-      return "k-best pool arity out of range";
-    KidRows.clear();
-    KidHashes.clear();
-    for (uint32_t A = 0; A < Arity; ++A) {
-      const uint32_t Kid = PR.u32();
-      if (!PR.ok() || Kid >= I)
-        return "k-best pool child reference out of range";
-      KidRows.push_back(PoolRow[Kid]);
-      KidHashes.push_back(Rows[PoolRow[Kid]].ValueHash);
-    }
-    const size_t VH = termValueHashNode(*O, KidHashes);
-    PoolRow.push_back(internRow(*O, KidRows.data(), KidRows.size(), VH));
-  }
-  if (!PR.atEnd())
-    return "trailing bytes after k-best pool";
-
-  const uint32_t NumRows = R.u32();
-  // Minimum row: u32 id + u32 count + one (f64, u32) candidate.
-  if (!R.ok() || !R.fits(NumRows, 20))
-    return "truncated k-best table";
-  const uint32_t NumIds = static_cast<uint32_t>(G.numIds());
-  Table.clear();
-  uint32_t PrevId = 0;
-  for (uint32_t I = 0; I < NumRows; ++I) {
-    const uint32_t Id = R.u32();
-    if (!R.ok() || Id >= NumIds)
-      return "k-best row class id out of range";
-    if (I != 0 && Id <= PrevId)
-      return "k-best rows not strictly ascending";
-    PrevId = Id;
-    if (G.find(Id) != Id)
-      return "k-best row keyed by a non-canonical class";
-    const uint32_t NumCands = R.u32();
-    if (!R.ok() || NumCands == 0 || NumCands > K || !R.fits(NumCands, 12))
-      return "k-best candidate count out of range";
-    std::vector<CandRef> Cands;
-    Cands.reserve(NumCands);
-    for (uint32_t C = 0; C < NumCands; ++C) {
-      const double Cost = R.f64();
-      const uint32_t Ref = R.u32();
-      if (!R.ok() || std::isnan(Cost) || Ref >= PoolRow.size())
-        return "invalid k-best candidate";
-      Cands.push_back({Cost, PoolRow[Ref]});
-    }
-    Table.emplace(Id, std::move(Cands));
-  }
-  if (!R.ok() || !R.atEnd())
-    return "trailing bytes after k-best state";
-  SyncedGen = Gen;
-  G.updateDirtyLease(DirtyLease, SyncedGen);
-  return "";
 }
 
 //===----------------------------------------------------------------------===//

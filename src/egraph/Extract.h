@@ -22,11 +22,10 @@
 ///    candidate programs and recomputes a class only when a child's list
 ///    changed, enumerating child-candidate combinations lazily through a
 ///    best-first frontier heap (k-shortest-paths style "cube pruning").
-///  * Both engines are incremental across graph mutations: refresh() keys
-///    cached costs on the e-graph's generation-stamped dirty log
-///    (EGraph::takeDirtySince) and re-derives only classes whose best
-///    programs could have changed, so re-extraction after a saturation
-///    round costs time proportional to what the round changed.
+///  * Both engines are one-shot: construction derives the whole table from
+///    the graph as it stands, and a mutated graph needs a fresh engine. The
+///    Synthesizer builds one after the solvers finish (paper Fig. 5 lines
+///    8-9).
 ///
 /// Cost ties are broken deterministically (smallest e-node under a fixed
 /// total order wins), which makes extraction a pure function of the graph:
@@ -88,54 +87,12 @@ public:
 };
 
 /// One-best extraction: computes, per class, the cheapest representable
-/// term by worklist relaxation along the parent index. Construction runs a
-/// full derivation; refresh() incrementally re-derives after mutations.
+/// term by worklist relaxation along the parent index. Construction runs
+/// the whole derivation on a clean graph; the engine must not outlive the
+/// graph, and a graph mutated after construction needs a fresh engine.
 class Extractor {
 public:
   Extractor(const EGraph &G, const CostFn &Fn);
-
-  /// Restore-construction for the snapshot tier: binds an *empty* engine
-  /// to \p G without running a derivation. The engine is unusable until a
-  /// successful restoreState(); on restore failure it must be discarded.
-  struct RestoreTag {};
-  Extractor(RestoreTag, const EGraph &G, const CostFn &Fn);
-
-  /// Serializes the derived state (synced generation, per-class costs and
-  /// choice e-nodes) for the service snapshot tier. The blob is only
-  /// meaningful alongside the e-graph snapshot serialized at the same
-  /// generation — restoreState() enforces the pairing.
-  std::string saveState() const;
-
-  /// Loads state saved by saveState() into a RestoreTag-constructed
-  /// engine. Returns "" on success, a diagnostic otherwise (wrong
-  /// generation, malformed bytes, ids outside the bound graph) — never
-  /// asserts, so corrupt snapshot-tier blobs degrade to cache misses.
-  /// After success the engine behaves exactly like the one that was
-  /// saved: refresh() resumes incrementally from the stored generation.
-  std::string restoreState(std::string_view Bytes);
-
-  /// Releases the engine's dirty-log lease (see below). The engine must
-  /// not outlive the graph.
-  ~Extractor();
-
-  // The engine registers a dirty-log lease with the graph (so the
-  // Runner's log compaction preserves the suffix refresh() will read);
-  // copying would double-release it.
-  Extractor(const Extractor &) = delete;
-  Extractor &operator=(const Extractor &) = delete;
-
-  /// Re-derives costs after graph mutations (merges, added nodes, analysis
-  /// changes) at cost proportional to the dirty closure since the last
-  /// derivation. Requires a clean graph. Equivalent to rebuilding the
-  /// extractor from scratch, but incremental. Also compacts the cost
-  /// tables when merges have left them dominated by superseded
-  /// (non-canonical) keys — long-lived sessions would otherwise grow them
-  /// without bound.
-  void refresh();
-
-  /// Rows currently held by the cost table, stale keys included (tests
-  /// assert bounded growth across long sessions).
-  size_t tableEntries() const { return CostsLive; }
 
   /// Cheapest cost of any term in the class, if one is extractable.
   std::optional<double> bestCost(EClassId Id) const;
@@ -151,27 +108,19 @@ public:
 private:
   const EGraph &G;
   const CostFn &Fn;
-  /// Graph generation the cached costs are synchronized with.
-  uint64_t SyncedGen = 0;
-  /// Dirty-log lease pinned at SyncedGen (EGraph::acquireDirtyLease).
-  uint64_t DirtyLease = 0;
   // Dense cost table indexed by class id (+inf = no finite-cost term
   // derived). nodeCost probes it once per (node, child), which made the
   // hashed map's find() a measurable slice of extraction profiles.
-  // Entries keyed by superseded ids are unreachable through find() and
-  // simply go stale; CostsLive counts the finite entries (stale
-  // included) so refresh() can tell when a compaction sweep pays.
   std::vector<double> Costs;
-  size_t CostsLive = 0;
   std::unordered_map<EClassId, ENode> Choices;
   mutable std::unordered_map<EClassId, TermPtr> BuildMemo;
   /// Child-cost scratch reused across relax() calls (one allocation per
   /// derivation instead of one per node visit).
   std::vector<double> KidCostScratch;
 
-  /// Re-derives (cost, choice) for \p Seeds and propagates improvements
+  /// Derives (cost, choice) for every class and propagates improvements
   /// upward along canonicalParents to the unique fixpoint.
-  void deriveFrom(const std::vector<EClassId> &Seeds);
+  void derive();
 
   /// Evaluates \p Node as a candidate for \p Id; returns true and updates
   /// the tables when it improves the stored (cost, choice) pair.
@@ -225,8 +174,7 @@ struct ExtractCandidate {
 /// order, and a class is revisited only when a child's candidate list
 /// changed. Each recombination enumerates candidates lazily through one
 /// bounded best-first heap over all the class's e-nodes, stopping at the
-/// k-th distinct program. refresh() makes the table incremental across
-/// graph mutations, like Extractor.
+/// k-th distinct program. One-shot, like Extractor.
 ///
 /// Candidates live in a *flat row store*, not as materialized terms: a row
 /// is (operator, child row ids), hashconsed per engine, so a candidate in
@@ -234,7 +182,7 @@ struct ExtractCandidate {
 /// equality of candidate programs. Recombination reads and produces row
 /// ids; rows are interned only at the serial commit of each wave (worker
 /// threads never touch the store), and real TermPtrs materialize only in
-/// extract()/saveState(). Row ids are allocated in wave-commit order — a
+/// extract(). Row ids are allocated in wave-commit order — a
 /// pure function of the graph — so the table stays bit-identical at every
 /// thread count.
 class KBestExtractor {
@@ -246,39 +194,8 @@ public:
   KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
                  size_t NumThreads = 1);
 
-  /// Serializes the engine (one-best section plus the candidate table,
-  /// terms encoded once through a shared structure pool) for the service
-  /// snapshot tier. Restoring on the graph snapshot serialized at the
-  /// same generation reproduces the engine bit-for-bit — including
-  /// refresh() behavior, which is what lets a warm start refresh
-  /// incrementally instead of re-deriving the whole table.
-  std::string saveState() const;
-
-  /// Rebuilds an engine from saveState() bytes. \p K and \p NumThreads
-  /// must match the request (the stored K is validated; thread count is
-  /// free — the table is thread-invariant). Returns nullptr and sets
-  /// \p Err on any validation failure.
-  static std::unique_ptr<KBestExtractor>
-  restore(const EGraph &G, const CostFn &Fn, size_t K, size_t NumThreads,
-          std::string_view Bytes, std::string &Err);
-
-  /// Releases the engine's dirty-log lease; see Extractor.
-  ~KBestExtractor();
-
-  KBestExtractor(const KBestExtractor &) = delete;
-  KBestExtractor &operator=(const KBestExtractor &) = delete;
-
-  /// Incrementally re-derives candidate lists after graph mutations; see
-  /// Extractor::refresh(). Like Extractor, compacts superseded candidate
-  /// rows once they dominate the table.
-  void refresh();
-
   /// Up to k cheapest distinct terms of the class, cheapest first.
   std::vector<RankedTerm> extract(EClassId Id) const;
-
-  /// Rows currently held by the candidate table, stale keys included
-  /// (tests assert bounded growth across long sessions).
-  size_t tableEntries() const { return Table.size(); }
 
 private:
   /// One hashconsed candidate shape: an operator applied to child rows
@@ -309,9 +226,7 @@ private:
   const CostFn &Fn;
   size_t K;
   size_t Threads;    ///< resolved engine thread count (1 = serial)
-  Extractor OneBest; ///< processing priority + refresh seed costs
-  uint64_t SyncedGen = 0;
-  uint64_t DirtyLease = 0; ///< see Extractor::DirtyLease
+  Extractor OneBest; ///< processing priority
   std::unordered_map<EClassId, std::vector<CandRef>> Table;
   /// The row store: append-only, immutable once written (worker threads
   /// read committed rows lock-free during a wave), deduplicated through
@@ -329,18 +244,14 @@ private:
     uint32_t RowPlus1 = 0;
   };
   std::vector<RowSlot> RowIndex;
-  /// Lazy row -> term materializations (extract()/saveState() only).
+  /// Lazy row -> term materializations (extract() only).
   /// Never invalidated: rows are immutable.
   mutable std::unordered_map<uint32_t, TermPtr> RowTerms;
   /// Created lazily by the first wave large enough to dispatch; graphs
   /// that never produce such a wave never start a thread.
   std::unique_ptr<WorkerPool> Pool;
 
-  KBestExtractor(Extractor::RestoreTag, const EGraph &G, const CostFn &Fn,
-                 size_t K, size_t NumThreads);
-  std::string restoreState(std::string_view Bytes);
-
-  void deriveFrom(const std::vector<EClassId> &Seeds);
+  void derive();
 
   /// Interns (O, Kids[0..N)) in the row store; \p ValueHash must equal
   /// termValueHashNode(O, kid value hashes). Serial-only (commit path).

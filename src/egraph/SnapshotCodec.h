@@ -7,8 +7,8 @@
 /// \file
 /// The little-endian payload codec shared by every serialized warm-start
 /// artifact: the e-graph snapshot (Snapshot.cpp), the Runner's resume
-/// cursors (Runner.cpp), the extraction-engine state (Extract.cpp), and the
-/// service snapshot-tier entry envelope (service/ResultCache.cpp). One codec
+/// cursors (Runner.cpp), and the service snapshot-tier entry envelope
+/// (service/ResultCache.cpp). One codec
 /// means one set of bounds-checking rules: every reader getter reports
 /// failure through ok() instead of running past the buffer, and the Op /
 /// ENode decoders validate kinds, arities, and id ranges so corrupt bytes
@@ -102,10 +102,6 @@ public:
   bool ok() const { return Ok; }
   bool atEnd() const { return Pos == Buf.size(); }
   size_t remaining() const { return Buf.size() - Pos; }
-  /// Byte offset of the next read. Lets structure-aware fuzzers (the
-  /// snapshot suite's back-reference forger) locate a field they just
-  /// read so they can corrupt it in a copy of the buffer.
-  size_t pos() const { return Pos; }
 
   /// True when \p Count elements of at least \p MinBytes each could
   /// still fit in the unread payload. Every count field is checked this

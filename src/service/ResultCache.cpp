@@ -169,9 +169,10 @@ CacheKey service::makeSnapshotKey(const TermPtr &FlatInput, uint64_t RulesFp,
 namespace {
 
 /// Magic of an encoded snapshot entry; the trailing digit is the envelope
-/// format version (a mismatch is "unsupported", not "corrupt").
-constexpr char SnapshotEntryMagic[8] = {'S', 'R', 'A', 'Y', 'S', 'N', 'E', '1'};
-constexpr uint32_t SnapshotEntryVersion = 1;
+/// format version (a mismatch is "unsupported", not "corrupt"): version-1
+/// files, which also carried an extraction-engine blob, are misses.
+constexpr char SnapshotEntryMagic[8] = {'S', 'R', 'A', 'Y', 'S', 'N', 'E', '2'};
+constexpr uint32_t SnapshotEntryVersion = 2;
 
 } // namespace
 
@@ -179,13 +180,10 @@ std::string service::encodeSnapshotEntry(const SnapshotEntry &E) {
   snapcodec::Writer W;
   W.u32(SnapshotEntryVersion);
   W.u64(E.InputHash);
-  W.u8(static_cast<uint8_t>(E.Cost));
-  W.u64(E.TopK);
   W.u8(static_cast<uint8_t>(E.Stop));
   W.u64(E.IterationsDone);
   W.str(E.InputSexp);
   W.str(E.Cursors);
-  W.str(E.Extract);
   W.str(E.Graph);
   const std::string Payload = W.take();
 
@@ -226,21 +224,15 @@ std::string service::decodeSnapshotEntry(std::string_view Bytes,
   if (R.u32() != SnapshotEntryVersion || !R.ok())
     return "unsupported snapshot entry payload version";
   Out.InputHash = R.u64();
-  const uint8_t Cost = R.u8();
-  Out.TopK = R.u64();
   const uint8_t Stop = R.u8();
   Out.IterationsDone = R.u64();
   Out.InputSexp = R.str();
   Out.Cursors = R.str();
-  Out.Extract = R.str();
   Out.Graph = R.str();
   if (!R.ok() || !R.atEnd())
     return "snapshot entry payload truncated";
-  if (Cost > static_cast<uint8_t>(CostKind::RewardLoops))
-    return "snapshot entry cost kind out of range";
   if (Stop > static_cast<uint8_t>(StopReason::Cancelled))
     return "snapshot entry stop reason out of range";
-  Out.Cost = static_cast<CostKind>(Cost);
   Out.Stop = static_cast<StopReason>(Stop);
   return "";
 }

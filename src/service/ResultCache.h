@@ -105,18 +105,17 @@ uint64_t snapshotOptionsFingerprint(const SynthesisOptions &Opts);
 CacheKey makeSnapshotKey(const TermPtr &FlatInput, uint64_t RulesFp,
                          const SynthesisOptions &Opts);
 
-/// One snapshot-tier entry: the pipeline state a successful run captured
-/// (SynthesisResult::Snapshot) plus what a later request needs to decide
-/// whether — and how — it can warm-start from it.
+/// One snapshot-tier entry: the post-saturation graph and cursors a
+/// successful run captured (SynthesisResult::Snapshot) plus what a later
+/// request needs to decide whether it can warm-start from them. The entry
+/// holds no extraction state: a warm run derives its top-k on the finished
+/// graph like a cold one, so any cost function and k can reuse it.
 struct SnapshotEntry {
   uint64_t InputHash = 0;  ///< exactTermFingerprint of the captured input
   std::string InputSexp;   ///< the captured input itself (edit diffing)
-  CostKind Cost = CostKind::AstSize; ///< cost fn the engine was derived under
-  uint64_t TopK = 0;                 ///< k the engine was derived with
   StopReason Stop = StopReason::Saturated; ///< capture-time stop reason
   uint64_t IterationsDone = 0;             ///< saturation fuel consumed
   std::string Cursors; ///< serializeRunnerCursors bytes
-  std::string Extract; ///< KBestExtractor::saveState bytes
   std::string Graph;   ///< EGraph::serialize bytes
 };
 

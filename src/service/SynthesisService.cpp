@@ -285,6 +285,7 @@ void SynthesisService::workerLoop() {
       J->Outcome.QueueSec = secondsBetween(J->Submitted, Clock::now());
       if (J->Token.cancelled()) {
         // Cancelled while still queued: complete without running.
+        J->Spec = JobSpec();
         J->Outcome.St = JobOutcome::Status::Cancelled;
         J->State = JobState::Done;
         noteDoneLocked(J->Outcome);
@@ -296,6 +297,9 @@ void SynthesisService::workerLoop() {
     }
     const auto RunStart = Clock::now();
     runJob(*J, ThreadBudget);
+    // The outcome is retained for the service's lifetime; the request
+    // (its source text above all) is not read again.
+    J->Spec = JobSpec();
     {
       std::lock_guard<std::mutex> Lock(M);
       --RunningJobs;
@@ -410,12 +414,6 @@ void SynthesisService::runJob(Job &J, size_t ThreadBudget) {
       if (Usable) {
         WS.Graph = std::move(Entry->Graph);
         WS.Cursors = std::move(Entry->Cursors);
-        WS.Extract = std::move(Entry->Extract);
-        // The extraction engine only transfers when it was derived under
-        // this request's cost function and k; otherwise it is re-derived
-        // from the restored graph (identical result, just slower).
-        WS.ExtractUsable = Entry->Cost == Opts.Cost &&
-                           Entry->TopK == Opts.TopK && !WS.Extract.empty();
         WS.SameInput = SameInput;
         WarmPlanned = true;
       }
@@ -452,12 +450,9 @@ void SynthesisService::runJob(Job &J, size_t ThreadBudget) {
     SnapshotEntry E;
     E.InputHash = ExactHash;
     E.InputSexp = printSexp(Flat);
-    E.Cost = Opts.Cost;
-    E.TopK = Opts.TopK;
     E.Stop = Out.Result.Snapshot.Stop;
     E.IterationsDone = Out.Result.Snapshot.IterationsDone;
     E.Cursors = std::move(Out.Result.Snapshot.Cursors);
-    E.Extract = std::move(Out.Result.Snapshot.Extract);
     E.Graph = std::move(Out.Result.Snapshot.Graph);
     Out.Result.Snapshot.Present = false; // blobs moved out
     Cache.storeSnapshot(SnapKey, E);

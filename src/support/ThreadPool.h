@@ -7,7 +7,7 @@
 /// \file
 /// The fixed worker pool shared by every parallel phase of the pipeline:
 /// the Runner's group searches and conflict-partitioned applies, and the
-/// k-best extractor's wave-sharded refresh. It began life as the Runner's
+/// k-best extractor's wave-sharded derivation. It began life as the Runner's
 /// private SearchPool (PR 4) and was hoisted here unchanged when the apply
 /// and extract phases gained parallel schedulers of their own.
 ///

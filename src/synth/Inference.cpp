@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -102,13 +103,13 @@ struct LayerForms {
 
 /// Appends \p Module to \p Modules unless already present (records stay
 /// small; first-use order is the reporting order).
-void recordModule(const char *Module, std::vector<std::string> &Modules) {
+void recordModule(const char *Module, std::vector<const char *> &Modules) {
   if (!Module || !*Module)
     return;
-  for (const std::string &Existing : Modules)
-    if (Existing == Module)
+  for (const char *Existing : Modules)
+    if (std::strcmp(Existing, Module) == 0)
       return;
-  Modules.emplace_back(Module);
+  Modules.push_back(Module);
 }
 
 /// Collects the used (non-constant when possible) form kinds of a layer,
@@ -253,8 +254,6 @@ shrinkray::inferFunctions(EGraph &G, EClassId ListClass,
 
     EClassId NewList = addWithHole(G, Inner, BaseHole, D.Base);
     G.merge(ListClass, NewList);
-    Rec.Description = "Mapi over " + std::to_string(N) + " elements, " +
-                      std::to_string(D.numLayers()) + " layer(s)";
     Records.push_back(std::move(Rec));
   }
   return Records;
@@ -389,11 +388,6 @@ shrinkray::inferLoops(EGraph &G, EClassId ListClass,
       Rec.Forms.assign(1, FormKind::Poly1);
       // Multi-index linear fits come from the facade, not a module.
       recordModule("linear", Rec.Modules);
-      std::ostringstream Os;
-      Os << M << "-nested loop over";
-      for (int64_t F : Factors)
-        Os << " " << F;
-      Rec.Description = Os.str();
       Records.push_back(std::move(Rec));
     }
   }
@@ -488,8 +482,6 @@ shrinkray::inferIrregular(EGraph &G, EClassId ListClass,
 
   EClassId NewList = addWithHole(G, ListTerm, ChildHole, *Child);
   G.merge(ListClass, NewList);
-  Rec.Description =
-      "irregular grouping into " + std::to_string(Groups.size()) + " runs";
   Records.push_back(std::move(Rec));
   return Records;
 }

@@ -7,8 +7,9 @@
 /// \file
 /// Implementation of the end-to-end pipeline (paper Figure 5) and the
 /// loop-shape reporting behind Table 1's n-l/f columns. The main loop
-/// owns one incremental KBestExtractor across iterations and attributes
-/// wall clock to the rewrite/solve/extract phases (SynthesisStats).
+/// saturates and solves; one KBestExtractor derived on the finished graph
+/// extracts the top-k, and wall clock is attributed to the
+/// rewrite/solve/extract phases (SynthesisStats).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +20,6 @@
 
 #include <chrono>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 
@@ -89,19 +89,12 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   // would only burn time.
   const RuleSet CompiledRules(Rules);
 
-  // The extraction engine lives across main-loop iterations: the first
-  // round derives costs for the whole graph, every later round refreshes
-  // incrementally from the generation-stamped dirty log, so re-extraction
-  // costs time proportional to what the round changed. A warm start may
-  // hand the engine back fully derived (restored below).
-  std::unique_ptr<KBestExtractor> Extraction;
-
   // --- Warm-start restore ------------------------------------------------
-  // Bring the captured pipeline state back up *before* seeding the input:
-  // the engine restore validates its generation against the graph's, and
-  // its dirty-log lease must be registered before any further mutation so
-  // refresh() later sees the re-seeding delta. Every validation failure
-  // aborts to the cold pipeline (synthesizeWarm retries with W == null).
+  // Bring the captured graph and saturation cursors back up *before*
+  // seeding the input: the cursors validate against the restored graph's
+  // generation, and the re-seeding delta must land after it. Every
+  // validation failure aborts to the cold pipeline (synthesizeWarm
+  // retries with W == null).
   RunnerCursors Cursors;
   const bool WarmEdited = W && !W->SameInput;
   if (W) {
@@ -143,15 +136,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
            Opts.Limits.IterLimit > Cursors.IterationsDone))) {
       Aborted = true;
       return Result;
-    }
-    if (W->ExtractUsable) {
-      // A failed engine restore is not fatal: the engine is re-derived
-      // from the restored graph at the usual point (refresh-equals-scratch
-      // makes the result identical, the derivation just costs more).
-      std::string Err;
-      Extraction =
-          KBestExtractor::restore(G, costFn(Opts.Cost), Opts.TopK,
-                                  Opts.Limits.NumThreads, W->Extract, Err);
     }
     Result.Stats.WarmSkippedIters = Cursors.IterationsDone;
     Result.Stats.WarmRestoreSeconds =
@@ -248,28 +232,14 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     if (cancelled())
       break;
 
-    // The engine comes up (or re-syncs) right after saturation, *before*
-    // the solve phase, so each fold site's insertions can be folded in
-    // incrementally as they happen (see refreshAfterSite below).
-    {
-      const auto ExtractStart = Clock::now();
-      G.rebuild();
-      if (!Extraction)
-        Extraction = std::make_unique<KBestExtractor>(
-            G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads);
-      else
-        Extraction->refresh();
-      Result.Stats.ExtractSeconds +=
-          std::chrono::duration<double>(Clock::now() - ExtractStart).count();
-    }
-
     // --- Warm-start capture (pre-solve) ---------------------------------
-    // The snapshot freezes the pipeline right here: saturated graph,
-    // saturation cursors, derived extraction engine — all at one graph
-    // generation. Post-solve state is *not* reusable (solver insertions
-    // depend on the request), which is why capture precedes the solve.
-    // Skipped when the round stopped non-deterministically, and when a
-    // warm run didn't resume (its state equals the snapshot it restored).
+    // The snapshot freezes the pipeline right here: saturated graph and
+    // saturation cursors at one graph generation. Post-solve state is
+    // *not* reusable (solver insertions depend on the request), which is
+    // why capture precedes the solve. Skipped when the round stopped
+    // non-deterministically, and when a warm run didn't resume (its state
+    // equals the snapshot it restored).
+    G.rebuild();
     if (Opts.CaptureSnapshot && Iter == 0 && Opts.MainLoopIters == 1 &&
         Result.Stats.Rewriting.Stop != StopReason::TimeLimit &&
         Result.Stats.Rewriting.Stop != StopReason::Cancelled &&
@@ -278,7 +248,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       G.serialize(GraphBytes);
       Result.Snapshot.Graph = std::move(GraphBytes).str();
       Result.Snapshot.Cursors = serializeRunnerCursors(Cursors);
-      Result.Snapshot.Extract = Extraction->saveState();
       Result.Snapshot.Stop = Cursors.Stop;
       Result.Snapshot.IterationsDone = Cursors.IterationsDone;
       Result.Snapshot.Present = true;
@@ -308,17 +277,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     }
 
     const auto SolveStart = Clock::now();
-    // Extraction work performed inside the solve phase: refreshing after
-    // every fold site keeps the candidate tables warm (each refresh walks
-    // only that site's dirty log) and is billed to ExtractSeconds, not
-    // SolveSeconds.
-    double RefreshInSolveSec = 0.0;
-    auto refreshAfterSite = [&] {
-      const auto RefreshStart = Clock::now();
-      Extraction->refresh();
-      RefreshInSolveSec +=
-          std::chrono::duration<double>(Clock::now() - RefreshStart).count();
-    };
 
     // --- Locate fold contexts -------------------------------------------
     // A fold class accumulates one Fold node per extension step, so it can
@@ -390,38 +348,22 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
         }
       }
       G.rebuild();
-      refreshAfterSite();
     }
     Result.Stats.SolveSeconds +=
-        std::chrono::duration<double>(Clock::now() - SolveStart).count() -
-        RefreshInSolveSec;
-    Result.Stats.ExtractSeconds += RefreshInSolveSec;
-    if (cancelled())
-      break;
-
-    // --- Top-k extraction (Fig. 5 lines 8-9), kept fresh per round ------
-    // Every site already refreshed the engine; this re-sync only covers a
-    // round with zero sites (and is then O(1) on the clean graph).
-    G.rebuild();
-    const auto ExtractStart = Clock::now();
-    Extraction->refresh();
-    Result.Stats.ExtractSeconds +=
-        std::chrono::duration<double>(Clock::now() - ExtractStart).count();
+        std::chrono::duration<double>(Clock::now() - SolveStart).count();
   }
   G.rebuild();
 
+  // --- Top-k extraction (Fig. 5 lines 8-9) -----------------------------
+  // One derivation on the finished graph, after the last round's solve —
+  // or wherever a cancellation left it (a partial result), or on the input
+  // graph as-is when MainLoopIters == 0. Nothing reads the table before
+  // this point, so this one derivation is the run's whole extraction cost.
   const auto ExtractStart = Clock::now();
-  if (!Extraction) // MainLoopIters == 0: extract the input graph as-is
-    Extraction = std::make_unique<KBestExtractor>(
-        G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads);
-  else if (Result.Stats.Cancelled)
-    // A cancelled run broke out before the per-round refresh: re-sync so
-    // the candidate table keys on the current canonical ids (a stale
-    // table can miss the root outright after merges re-rooted its class)
-    // — this is what makes the partial-result contract hold.
-    Extraction->refresh();
-  Result.Programs = Extraction->extract(Root);
-  Result.Stats.ExtractSeconds +=
+  Result.Programs =
+      KBestExtractor(G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads)
+          .extract(Root);
+  Result.Stats.ExtractSeconds =
       std::chrono::duration<double>(Clock::now() - ExtractStart).count();
   const SolveBreakdown &Solve = Solver.breakdown();
   Result.Stats.SolvePreprocessSeconds = Solve.PreprocessSec;

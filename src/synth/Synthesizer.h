@@ -58,11 +58,6 @@ struct SynthesisOptions {
 struct WarmStart {
   std::string Graph;   ///< e-graph snapshot (EGraph::serialize bytes)
   std::string Cursors; ///< saturation continuation (serializeRunnerCursors)
-  std::string Extract; ///< extraction-engine state (KBestExtractor)
-  /// True when Extract was captured under the same cost function and k as
-  /// this request; otherwise the engine is re-derived from the restored
-  /// graph (refresh-equals-scratch makes that sound, just slower).
-  bool ExtractUsable = false;
   /// True when the request's input is byte-identical to the captured
   /// run's input (the caller compares exact input hashes); false for the
   /// localized-edit path, which re-seeds the changed term and resumes
@@ -100,7 +95,7 @@ struct SynthesisStats {
   // phases cover nearly all of Seconds; the remainder is graph setup.
   double RewriteSeconds = 0.0; ///< equality saturation (Runner)
   double SolveSeconds = 0.0;   ///< determinize + solver inference + sorting
-  double ExtractSeconds = 0.0; ///< extraction engine derive/refresh+extract
+  double ExtractSeconds = 0.0; ///< top-k derivation + extract (one pass)
   // Saturation sub-phases (RunnerReport totals summed across main-loop
   // iterations): compiled-group search, memo-filtered apply, and
   // rebuild + dirty-log compaction.
@@ -122,7 +117,7 @@ struct SynthesisStats {
   bool WarmStartAborted = false; ///< warm attempt failed; result is cold
   size_t WarmResumedIters = 0;   ///< saturation iterations run on resume
   size_t WarmSkippedIters = 0;   ///< captured iterations the resume skipped
-  double WarmRestoreSeconds = 0.0; ///< graph + cursor + engine restore time
+  double WarmRestoreSeconds = 0.0; ///< graph + cursor restore time
 };
 
 /// The warm-start state a run exports when SynthesisOptions::
@@ -132,7 +127,6 @@ struct SynthesisSnapshot {
   bool Present = false; ///< false when capture was skipped (see options doc)
   std::string Graph;    ///< e-graph at the capture point
   std::string Cursors;  ///< saturation continuation state
-  std::string Extract;  ///< extraction-engine state at the same generation
   StopReason Stop = StopReason::Saturated; ///< why saturation stopped
   uint64_t IterationsDone = 0;             ///< absolute iterations consumed
 };
@@ -165,9 +159,10 @@ public:
   SynthesisResult synthesize(const TermPtr &FlatCsg) const;
 
   /// Like synthesize(), but restores \p W instead of saturating from
-  /// scratch: the captured graph and extraction engine come back up, the
-  /// (possibly edited) input is re-seeded, and saturation resumes from the
-  /// stored cursors only as far as the request needs. The warm result is
+  /// scratch: the captured graph comes back up, the (possibly edited)
+  /// input is re-seeded, saturation resumes from the stored cursors only
+  /// as far as the request needs, and extraction derives once on the
+  /// finished graph exactly as a cold run does. The warm result is
   /// identical to the cold one — same programs, same ranks, and for
   /// same-input requests the same final graph byte-for-byte — because
   /// restore-then-continue replays the exact mutation sequence the cold

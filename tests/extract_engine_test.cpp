@@ -1,7 +1,7 @@
 //===-- tests/extract_engine_test.cpp - Worklist extraction engine --------===//
 //
-// Differential and adversarial coverage for the worklist-driven, incremental
-// extraction engine:
+// Differential and adversarial coverage for the worklist-driven extraction
+// engine:
 //
 //  * parent-index (canonicalParents) consistency under merges and repair;
 //  * worklist one-best vs the fixed-point ReferenceExtractor: bit-identical
@@ -10,9 +10,6 @@
 //  * k-best worklist vs ReferenceKBestExtractor: bit-identical candidate
 //    lists, plus the distinctness/ordering properties the paper's top-k
 //    contract requires;
-//  * incremental refresh() equivalence: refreshing across extra saturation
-//    rounds and adversarial merge sequences must land on exactly the state
-//    a from-scratch derivation computes;
 //  * value-level deduplication: Int/Float respellings never masquerade as
 //    program diversity.
 //
@@ -26,8 +23,6 @@
 #include "synth/Cost.h"
 
 #include <gtest/gtest.h>
-
-#include <memory>
 
 using namespace shrinkray;
 
@@ -294,110 +289,4 @@ TEST(KBestContractTest, ValueHashAgreesWithApproxEquality) {
   ASSERT_TRUE(termApproxEquals(IntSpelling, FloatSpelling, 0.0));
   EXPECT_EQ(termValueHash(IntSpelling), termValueHash(FloatSpelling));
   EXPECT_NE(termHash(IntSpelling), termHash(FloatSpelling));
-}
-
-//===----------------------------------------------------------------------===//
-// Incremental refresh
-//===----------------------------------------------------------------------===//
-
-TEST(IncrementalExtractTest, RefreshAfterSaturationRoundsMatchesScratch) {
-  AstSizeCost Cost;
-  for (const char *Name : {"3362402:gear", "3432939:nintendo-slot"}) {
-    EGraph G;
-    EClassId Root = G.addTerm(models::modelByName(Name).FlatCsg);
-    G.rebuild();
-
-    // Round 1: a few iterations, then derive from scratch.
-    Runner R1(RunnerLimits{.IterLimit = 4});
-    R1.run(G, pipelineRules());
-    Extractor Engine(G, Cost);
-    KBestExtractor KEngine(G, Cost, 5);
-
-    // Round 2: keep saturating, then refresh incrementally.
-    Runner R2(RunnerLimits{.IterLimit = 20,
-                           .NodeLimit = 60000,
-                           .TimeLimitSec = 30.0});
-    R2.run(G, pipelineRules());
-    Engine.refresh();
-    KEngine.refresh();
-
-    ReferenceExtractor Oracle(G, Cost);
-    expectOneBestIdentical(G, Engine, Oracle, std::string(Name) + "/refresh");
-    ReferenceKBestExtractor KOracle(G, Cost, 5);
-    expectKBestIdentical(G, KEngine, KOracle,
-                         std::string(Name) + "/refresh");
-    EXPECT_TRUE(termEquals(Engine.extract(Root), Oracle.extract(Root)));
-  }
-}
-
-TEST(IncrementalExtractTest, RefreshAfterAdversarialMergesMatchesScratch) {
-  AstSizeCost Cost;
-  for (int Seed = 0; Seed < 6; ++Seed) {
-    Rng R(static_cast<uint64_t>(Seed) * 131 + 29);
-    EGraph G;
-    std::vector<EClassId> Pool = buildMergePool(G);
-    auto Engine = std::make_unique<Extractor>(G, Cost);
-    auto KEngine = std::make_unique<KBestExtractor>(G, Cost, 4);
-
-    for (int Step = 0; Step < 12; ++Step) {
-      G.merge(Pool[R.nextBelow(Pool.size())], Pool[R.nextBelow(Pool.size())]);
-      if (Step % 2 == 0) { // batch some merges before rebuilding
-        G.rebuild();
-        Engine->refresh();
-        KEngine->refresh();
-        ReferenceExtractor Oracle(G, Cost);
-        expectOneBestIdentical(G, *Engine, Oracle,
-                               "merge seed " + std::to_string(Seed) +
-                                   " step " + std::to_string(Step));
-        ReferenceKBestExtractor KOracle(G, Cost, 4);
-        expectKBestIdentical(G, *KEngine, KOracle,
-                             "merge seed " + std::to_string(Seed) + " step " +
-                                 std::to_string(Step));
-      }
-    }
-  }
-}
-
-TEST(IncrementalExtractTest, RefreshSeesNewClassesAndFoldedConstants) {
-  AstSizeCost Cost;
-  EGraph G;
-  EClassId Root = G.addTerm(tUnion(tUnit(), tSphere()));
-  G.rebuild();
-  Extractor Engine(G, Cost);
-  KBestExtractor KEngine(G, Cost, 3);
-  ASSERT_EQ(*Engine.bestCost(Root), 3.0);
-
-  // Grow the graph: a constant-folding class, and a cheaper alternative
-  // merged into the root.
-  EClassId Sum = G.addTerm(tAdd(tFloat(1.5), tFloat(2.5)));
-  EClassId Unit = G.addTerm(tUnit());
-  G.merge(Root, Unit);
-  G.rebuild();
-  Engine.refresh();
-  KEngine.refresh();
-
-  EXPECT_EQ(*Engine.bestCost(Root), 1.0);
-  EXPECT_EQ(Engine.extract(Root)->kind(), OpKind::Unit);
-  EXPECT_EQ(*Engine.bestCost(Sum), 1.0); // the materialized literal
-  EXPECT_EQ(Engine.extract(Sum)->op().numericValue(), 4.0);
-
-  ReferenceExtractor Oracle(G, Cost);
-  expectOneBestIdentical(G, Engine, Oracle, "grown graph");
-  ReferenceKBestExtractor KOracle(G, Cost, 3);
-  expectKBestIdentical(G, KEngine, KOracle, "grown graph");
-}
-
-TEST(IncrementalExtractTest, NoOpRefreshIsStable) {
-  AstSizeCost Cost;
-  EGraph G;
-  EClassId Root = saturate(G, models::modelByName("3362402:gear").FlatCsg, 6);
-  KBestExtractor Engine(G, Cost, 5);
-  std::vector<RankedTerm> Before = Engine.extract(Root);
-  Engine.refresh(); // generation unchanged: must be a no-op
-  std::vector<RankedTerm> After = Engine.extract(Root);
-  ASSERT_EQ(Before.size(), After.size());
-  for (size_t I = 0; I < Before.size(); ++I) {
-    EXPECT_EQ(Before[I].Cost, After[I].Cost);
-    EXPECT_TRUE(termEquals(Before[I].T, After[I].T));
-  }
 }

@@ -11,10 +11,9 @@
 //    overlap, self-referential/duplicate classes, empty closures, scrambled
 //    input order);
 //  * saturation differential: NumThreads 1/2/4/8 over every bench model;
-//  * extraction differential: scratch builds and warm refresh() at every
-//    thread count over saturated bench graphs;
-//  * end-to-end synthesis differential and rerun determinism;
-//  * extraction-table compaction under long merge churn.
+//  * extraction differential: scratch builds at every thread count over
+//    saturated bench graphs;
+//  * end-to-end synthesis differential and rerun determinism.
 //
 //===----------------------------------------------------------------------===//
 
@@ -175,7 +174,7 @@ TEST(ParallelApplyDifferentialTest, RerunAtFixedThreadCountIsDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Extraction differential: scratch and warm refresh at every thread count
+// Extraction differential: scratch derivation at every thread count
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelExtractDifferentialTest, ScratchTopKIdenticalOnAllBenchModels) {
@@ -194,34 +193,6 @@ TEST(ParallelExtractDifferentialTest, ScratchTopKIdenticalOnAllBenchModels) {
       else
         ASSERT_EQ(Fp, Baseline)
             << M.Name << " diverges at NumThreads=" << Threads;
-    }
-  }
-}
-
-TEST(ParallelExtractDifferentialTest, WarmRefreshIdenticalAcrossThreads) {
-  // The production path: the engine comes up on a part-saturated graph and
-  // refresh() folds in later rounds through the dirty log. Each thread
-  // count gets its own graph (engines hold dirty-log leases), all built by
-  // the same deterministic recipe.
-  AstSizeCost Cost;
-  for (const char *Name : {"3432939:nintendo-slot", "3362402:gear"}) {
-    const TermPtr &T = models::modelByName(Name).FlatCsg;
-    std::string Baseline;
-    for (size_t Threads : ThreadCounts) {
-      EGraph G;
-      G.addTerm(T);
-      G.rebuild();
-      Runner(testLimits(1, /*Iters=*/3)).run(G, pipelineRules());
-      KBestExtractor E(G, Cost, 5, Threads);
-      Runner(testLimits(1, /*Iters=*/6)).run(G, pipelineRules());
-      G.rebuild();
-      E.refresh();
-      std::string Fp = extractionFingerprint(G, E);
-      if (Threads == 1)
-        Baseline = std::move(Fp);
-      else
-        ASSERT_EQ(Fp, Baseline)
-            << Name << " warm refresh diverges at NumThreads=" << Threads;
     }
   }
 }
@@ -246,39 +217,4 @@ TEST(ParallelPipelineDifferentialTest, SynthesisIdenticalAcrossThreads) {
       ASSERT_EQ(Os.str(), Baseline)
           << "synthesis diverges at NumThreads=" << Threads;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Extraction-table compaction
-//===----------------------------------------------------------------------===//
-
-TEST(ExtractTableCompactionTest, StaleRowsAreSweptUnderMergeChurn) {
-  // 200 distinct Var leaves merged down to one class, one merge per
-  // refresh: each merge strands the loser's candidate row under a
-  // superseded key. Without compaction the tables would keep all ~200
-  // rows while only one class stays live.
-  EGraph G;
-  std::vector<EClassId> Leaves;
-  for (int I = 0; I < 200; ++I)
-    Leaves.push_back(
-        G.addTerm(parseSexp("(Var a" + std::to_string(I) + ")").Value));
-  G.rebuild();
-  AstSizeCost Cost;
-  Extractor One(G, Cost);
-  KBestExtractor E(G, Cost, 3);
-  for (size_t I = 1; I < Leaves.size(); ++I) {
-    G.merge(Leaves[0], Leaves[I]);
-    G.rebuild();
-    One.refresh();
-    E.refresh();
-    EXPECT_LE(One.tableEntries(), 2 * G.numClasses())
-        << "one-best table unbounded after merge " << I;
-    EXPECT_LE(E.tableEntries(), 2 * G.numClasses())
-        << "k-best table unbounded after merge " << I;
-  }
-  EXPECT_EQ(G.numClasses(), 1u);
-  // The survivor still extracts correctly after every sweep.
-  std::vector<RankedTerm> Progs = E.extract(Leaves[0]);
-  ASSERT_EQ(Progs.size(), 3u);
-  EXPECT_EQ(printSexp(Progs[0].T), "(Var a0)");
 }

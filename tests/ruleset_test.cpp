@@ -13,14 +13,12 @@
 //  * match-limit window: explosive rules are banned even when incremental
 //    search keeps their per-search counts small (the dodge), while rules
 //    that merely re-find standing matches are not (the over-trigger);
-//  * dirty-log compaction: bounded growth across long sessions, the
-//    conservative fallback below the compaction floor, and lease
-//    protection for incremental extraction engines.
+//  * dirty-log compaction: bounded growth across long sessions and the
+//    conservative fallback below the compaction floor.
 //
 //===----------------------------------------------------------------------===//
 
 #include "cad/Sexp.h"
-#include "egraph/Extract.h"
 #include "egraph/RuleSet.h"
 #include "egraph/Runner.h"
 #include "models/Models.h"
@@ -378,24 +376,6 @@ TEST(DirtyLogCompaction, LongSessionGrowthIsBounded) {
   EXPECT_EQ(G.checkInvariants(), "");
 }
 
-TEST(DirtyLogCompaction, LeaseProtectsIncrementalExtraction) {
-  EGraph G;
-  EClassId Root = G.addTerm(
-      models::modelByName("3244600:cnc-end-mill").FlatCsg);
-  G.rebuild();
-  AstSizeCost Cost;
-  Extractor Eng(G, Cost); // acquires a lease at the current generation
-  // A saturation run that compacts the log each iteration. The lease
-  // must keep the suffix the engine's refresh() will ask for.
-  Runner().run(G, pipelineRules());
-  ASSERT_GT(G.dirtyLogSize(), 0u) << "lease did not hold the log suffix";
-  Eng.refresh();
-  ReferenceExtractor Oracle(G, Cost);
-  ASSERT_TRUE(Eng.bestCost(Root).has_value());
-  EXPECT_EQ(*Eng.bestCost(Root), *Oracle.bestCost(Root));
-  EXPECT_TRUE(termEquals(Eng.extract(Root), Oracle.extract(Root)));
-}
-
 TEST(MatchLimitWindow, MidApplyBanCapsStreakNearLimit) {
   // Six staggered spine walks (cons-repeat-grow advances one level per
   // spine per iteration) accumulate 6 distinct merges per incremental
@@ -519,22 +499,6 @@ TEST(RuleSetWideGroup, GroupsPast64RulesKeepExactMasks) {
   L.IterLimit = 8;
   Runner(L).run(G, DB);
   EXPECT_EQ(G.checkInvariants(), "");
-}
-
-TEST(DirtyLogCompaction, ReleasedLeaseUnblocksCompaction) {
-  EGraph G;
-  G.addTerm(parse("(Union Unit Sphere)"));
-  G.rebuild();
-  {
-    AstSizeCost Cost;
-    Extractor Eng(G, Cost);
-    G.addTerm(parse("(Translate (Vec3 9 9 9) Sphere)"));
-    G.rebuild();
-    G.compactDirtyLog(G.generation());
-    EXPECT_GT(G.dirtyLogSize(), 0u); // lease pins the suffix
-  }
-  G.compactDirtyLog(G.generation()); // lease released: everything dead
-  EXPECT_EQ(G.dirtyLogSize(), 0u);
 }
 
 } // namespace

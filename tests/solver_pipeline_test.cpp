@@ -17,9 +17,9 @@
 //  * cancellation: a fired token short-circuits the pipeline between
 //    stages and inside the trig frequency scan, and a cancelled synthesis
 //    still returns a well-formed partial result;
-//  * per-fold-site extraction refresh: incremental refresh after each of a
-//    sequence of graph mutations stays bit-identical to the from-scratch
-//    fixed-point oracle;
+//  * extraction after fold-site mutations: a scratch worklist derivation
+//    after each of a sequence of solver-style graph mutations stays
+//    bit-identical to the fixed-point oracle;
 //  * dedup-aware determinization (UniqueElements) and solver-module
 //    attribution (InferenceRecord::Modules).
 //
@@ -438,7 +438,7 @@ TEST(SolverPipeline, CancelledSynthesisReturnsPartialResult) {
 }
 
 //===----------------------------------------------------------------------===//
-// Per-fold-site extraction refresh vs. the fixed-point oracle
+// Extraction after fold-site mutations vs. the fixed-point oracle
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -462,10 +462,10 @@ void expectKBestMatchesOracle(const EGraph &G, const KBestExtractor &Engine,
 } // namespace
 
 TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
-  // The synthesizer now refreshes the k-best engine after *every* fold
-  // site's insertion instead of once per round; replay that access
-  // pattern — create early, mutate, refresh, extract — against the
-  // fixed-point oracle after each step.
+  // The synthesizer derives the k-best table once, on the graph the fold
+  // sites' insertions leave behind. Replay a sequence of such insertions
+  // and check a scratch derivation against the fixed-point oracle after
+  // each one, so every intermediate graph a round can end on is covered.
   EGraph G;
   const TermPtr Model = models::modelByName("3452260:relay-box").FlatCsg;
   EClassId Root = G.addTerm(Model);
@@ -475,11 +475,11 @@ TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
   R.run(G, pipelineRules());
 
   static const AstSizeCost Cost;
-  KBestExtractor Engine(G, Cost, 5);
-  expectKBestMatchesOracle(G, Engine, 5, "post-saturation");
+  expectKBestMatchesOracle(G, KBestExtractor(G, Cost, 5), 5,
+                           "post-saturation");
 
   // Simulated fold-site insertions: new equivalent spellings merged into
-  // existing classes, one refresh per site.
+  // existing classes, one derivation per site.
   std::vector<TermPtr> Sites = {
       tTranslate(0, 0, 0, Model),
       tUnion(tEmpty(), Model),
@@ -489,8 +489,8 @@ TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
     EClassId New = G.addTerm(Sites[I]);
     G.merge(Root, New);
     G.rebuild();
-    Engine.refresh();
-    expectKBestMatchesOracle(G, Engine, 5, "site " + std::to_string(I));
+    expectKBestMatchesOracle(G, KBestExtractor(G, Cost, 5), 5,
+                             "site " + std::to_string(I));
   }
 }
 
@@ -524,8 +524,9 @@ TEST(SolverPipeline, InferenceRecordsCarryModuleAttribution) {
   ASSERT_FALSE(R.Stats.Records.empty());
   bool SawAny = false;
   for (const InferenceRecord &Rec : R.Stats.Records) {
-    for (const std::string &M : Rec.Modules) {
+    for (const char *Module : Rec.Modules) {
       SawAny = true;
+      const std::string M = Module;
       EXPECT_TRUE(M == "poly" || M == "trig" || M == "linear") << M;
     }
   }

@@ -1,20 +1,22 @@
 //===-- tests/warmstart_test.cpp - Warm == cold differential suite --------===//
 //
 // The snapshot-backed warm-start contract is byte-identity: a warm run —
-// restored graph, resumed saturation, refreshed extraction engine — must
+// restored graph, resumed saturation, one extraction on the result — must
 // produce exactly the programs, costs, and ranks a cold run of the same
 // request produces, and for same-input requests the same final e-graph
 // dump byte for byte. This suite checks that contract across the full
 // Table 1 model corpus, all three near-miss kinds (deeper fuel, cost
 // swap, localized numeric edit), and 1/2/4 runner threads, both at the
 // Synthesizer level (manual WarmStart plumbing) and end-to-end through
-// SynthesisService's snapshot tier.
+// SynthesisService's snapshot tier, including cache files an older build
+// wrote in the previous entry format.
 //
 //===----------------------------------------------------------------------===//
 
 #include "synth/Synthesizer.h"
 
 #include "cad/Sexp.h"
+#include "egraph/SnapshotCodec.h"
 #include "models/Models.h"
 #include "service/SynthesisService.h"
 
@@ -22,6 +24,8 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace shrinkray;
 
@@ -73,14 +77,11 @@ std::string transcript(const SynthesisResult &R) {
 
 /// Packages a capture run's snapshot as the WarmStart seed a later request
 /// would receive from the service tier.
-WarmStart toWarmStart(const SynthesisResult &Captured, bool SameInput,
-                      bool ExtractUsable) {
+WarmStart toWarmStart(const SynthesisResult &Captured, bool SameInput) {
   EXPECT_TRUE(Captured.Snapshot.Present);
   WarmStart W;
   W.Graph = Captured.Snapshot.Graph;
   W.Cursors = Captured.Snapshot.Cursors;
-  W.Extract = Captured.Snapshot.Extract;
-  W.ExtractUsable = ExtractUsable && !W.Extract.empty();
   W.SameInput = SameInput;
   return W;
 }
@@ -147,8 +148,7 @@ void checkDeeperFuel(size_t Threads) {
     SynthesisOptions WarmOpts = baseOptions(Threads);
     WarmOpts.KeepGraphDump = true;
     SynthesisResult Warm = Synthesizer(WarmOpts).synthesizeWarm(
-        M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true,
-                               /*ExtractUsable=*/true));
+        M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true));
 
     EXPECT_TRUE(Warm.Stats.WarmStart) << M.Name;
     EXPECT_FALSE(Warm.Stats.WarmStartAborted) << M.Name;
@@ -162,9 +162,9 @@ void checkDeeperFuel(size_t Threads) {
   }
 }
 
-/// Near-miss kind 2: same input, different cost function. The captured
-/// extraction engine is unusable (wrong cost), so the warm run re-derives
-/// one over the restored graph; saturation itself is skipped entirely.
+/// Near-miss kind 2: same input, different cost function. Saturation is
+/// skipped entirely; extraction runs under the request's cost function on
+/// the restored graph, as it would on a cold run's.
 void checkCostSwap(size_t Threads) {
   for (const models::BenchmarkModel &M : corpus()) {
     SynthesisOptions ColdOpts = baseOptions(Threads);
@@ -182,8 +182,7 @@ void checkCostSwap(size_t Threads) {
     WarmOpts.Cost = CostKind::RewardLoops;
     WarmOpts.KeepGraphDump = true;
     SynthesisResult Warm = Synthesizer(WarmOpts).synthesizeWarm(
-        M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true,
-                               /*ExtractUsable=*/false));
+        M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true));
 
     EXPECT_TRUE(Warm.Stats.WarmStart) << M.Name;
     EXPECT_FALSE(Warm.Stats.WarmStartAborted) << M.Name;
@@ -220,8 +219,7 @@ void checkEdit(size_t Threads) {
 
     SynthesisResult Cold = Synthesizer(RunOpts).synthesize(Edited);
     SynthesisResult Warm = Synthesizer(RunOpts).synthesizeWarm(
-        Edited, toWarmStart(Captured, /*SameInput=*/false,
-                            /*ExtractUsable=*/true));
+        Edited, toWarmStart(Captured, /*SameInput=*/false));
 
     if (Saturated) {
       EXPECT_TRUE(Warm.Stats.WarmStart) << M.Name;
@@ -275,8 +273,7 @@ TEST(WarmStartTest, CaptureAtOneThreadRestoresAtFour) {
   SynthesisOptions WarmOpts = baseOptions(4);
   WarmOpts.KeepGraphDump = true;
   SynthesisResult Warm = Synthesizer(WarmOpts).synthesizeWarm(
-      M.FlatCsg,
-      toWarmStart(Captured, /*SameInput=*/true, /*ExtractUsable=*/true));
+      M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true));
 
   EXPECT_TRUE(Warm.Stats.WarmStart);
   EXPECT_FALSE(Warm.Stats.WarmStartAborted);
@@ -296,8 +293,7 @@ TEST(WarmStartTest, CorruptWarmStartFallsBackToCold) {
 
   SynthesisResult Cold = Synthesizer(baseOptions(1)).synthesize(M.FlatCsg);
 
-  WarmStart W =
-      toWarmStart(Captured, /*SameInput=*/true, /*ExtractUsable=*/true);
+  WarmStart W = toWarmStart(Captured, /*SameInput=*/true);
   W.Graph[W.Graph.size() / 2] ^= 0x40; // payload bit flip -> checksum fail
 
   SynthesisResult Warm =
@@ -325,6 +321,29 @@ service::JobSpec jobFor(const TermPtr &Input, SynthesisOptions Opts = {}) {
   Spec.Input = Input;
   Spec.Options = Opts;
   return Spec;
+}
+
+/// Encodes \p E in the version-1 entry layout older builds wrote: the same
+/// envelope under magic "SRAYSNE1", around a payload that also carried
+/// the cost kind and k the extraction engine was derived under, and the
+/// engine's own state blob between the cursors and the graph.
+std::string encodeVersionOneEntry(const service::SnapshotEntry &E) {
+  snapcodec::Writer W;
+  W.u32(1); // payload version
+  W.u64(E.InputHash);
+  W.u8(static_cast<uint8_t>(CostKind::AstSize));
+  W.u64(5); // k
+  W.u8(static_cast<uint8_t>(E.Stop));
+  W.u64(E.IterationsDone);
+  W.str(E.InputSexp);
+  W.str(E.Cursors);
+  W.str(std::string(64, '\x01')); // the engine blob
+  W.str(E.Graph);
+  const std::string Payload = W.take();
+  snapcodec::Writer Header;
+  Header.u64(Payload.size());
+  Header.u64(snapcodec::fnv1a(Payload));
+  return "SRAYSNE1" + Header.bytes() + Payload;
 }
 
 } // namespace
@@ -401,6 +420,67 @@ TEST(WarmStartServiceTest, EditedRequestWarmStartsAcrossProcessRestart) {
   EXPECT_FALSE(Out.Result.Stats.WarmStartAborted);
   EXPECT_EQ(Svc.cache().stats().SnapshotHits, 1u);
 
+  EXPECT_EQ(transcript(Ref.Result), transcript(Out.Result));
+  std::filesystem::remove_all(Dir);
+}
+
+// A `--shard` cache directory kept across an upgrade holds `.srsnap`
+// files in the previous entry format. Each must read as a snapshot miss,
+// and the job must run cold with exactly the cache-free cold output.
+TEST(WarmStartServiceTest, VersionOneSnapshotEntryRunsCold) {
+  models::BenchmarkModel M = models::modelByName("3362402:gear");
+  std::string Dir = tempDir("warmstart_svc_v1");
+
+  service::ServiceConfig ColdCfg;
+  ColdCfg.NumWorkers = 1;
+  ColdCfg.EnableWarmStart = false;
+  service::SynthesisService ColdSvc(ColdCfg);
+  const service::JobOutcome &Ref =
+      ColdSvc.wait(ColdSvc.submit(jobFor(M.FlatCsg)));
+  ASSERT_EQ(Ref.St, service::JobOutcome::Status::Succeeded);
+
+  // First process: capture a fuel-starved run's snapshot to disk, then
+  // rewrite the file in the version-1 layout.
+  SynthesisOptions Starved;
+  Starved.Limits.IterLimit = 2;
+  service::ServiceConfig Cfg;
+  Cfg.NumWorkers = 1;
+  Cfg.CacheDir = Dir;
+  {
+    service::SynthesisService Svc(Cfg);
+    const service::JobOutcome &Out =
+        Svc.wait(Svc.submit(jobFor(M.FlatCsg, Starved)));
+    ASSERT_EQ(Out.St, service::JobOutcome::Status::Succeeded);
+    ASSERT_EQ(Svc.cache().stats().SnapshotStores, 1u);
+  }
+  std::vector<std::filesystem::path> Snaps;
+  for (const auto &F : std::filesystem::directory_iterator(Dir))
+    if (F.path().extension() == ".srsnap")
+      Snaps.push_back(F.path());
+  ASSERT_EQ(Snaps.size(), 1u);
+  std::string Blob;
+  {
+    std::ifstream In(Snaps[0], std::ios::binary);
+    std::ostringstream Os;
+    Os << In.rdbuf();
+    Blob = std::move(Os).str();
+  }
+  service::SnapshotEntry Entry;
+  ASSERT_EQ(service::decodeSnapshotEntry(Blob, Entry), "");
+  {
+    std::ofstream Out(Snaps[0], std::ios::binary | std::ios::trunc);
+    Out << encodeVersionOneEntry(Entry);
+  }
+
+  // Second process: the full-fuel request misses the result cache and
+  // lands on the planted entry under its snapshot key.
+  service::SynthesisService Svc(Cfg);
+  const service::JobOutcome &Out = Svc.wait(Svc.submit(jobFor(M.FlatCsg)));
+  ASSERT_EQ(Out.St, service::JobOutcome::Status::Succeeded);
+  EXPECT_FALSE(Out.Result.Stats.WarmStart);
+  EXPECT_FALSE(Out.Result.Stats.WarmStartAborted);
+  EXPECT_EQ(Svc.cache().stats().SnapshotMisses, 1u);
+  EXPECT_EQ(Svc.cache().stats().SnapshotHits, 0u);
   EXPECT_EQ(transcript(Ref.Result), transcript(Out.Result));
   std::filesystem::remove_all(Dir);
 }

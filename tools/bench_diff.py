@@ -52,7 +52,7 @@ IDENTITY_FIELDS = ("family", "n", "model", "kind", "iter", "rule")
 # time; rewrite_sec isolates the saturation phase so a rewrite-engine
 # regression on a tail model cannot hide behind an extraction win;
 # extract_sec and rewrite_apply_sec gate the two phases the multicore
-# pipeline parallelizes (wave-scheduled k-best refresh, conflict-
+# pipeline parallelizes (wave-scheduled k-best derivation, conflict-
 # partitioned apply), so losing the parallel speedup is itself a
 # regression even when the row total stays within its threshold.
 GATED_FIELDS = ("time_sec", "rewrite_sec", "extract_sec", "rewrite_apply_sec")
