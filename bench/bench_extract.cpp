@@ -14,7 +14,9 @@
 //       worklist one-best derivation vs the whole-graph fixed point;
 //   kbest_scratch / kbest_oracle
 //       worklist k-best derivation of the saturated graph vs the
-//       fixed-point oracle.
+//       fixed-point oracle;
+//   pipeline_serial
+//       saturation from scratch, then a from-scratch k-best derivation.
 //
 // Every engine result is cross-checked against its oracle before timing
 // is reported.
@@ -146,73 +148,38 @@ int main() {
 
   }
 
-  // Multicore pipeline phase 2: the conflict-partitioned apply and the
-  // wave-scheduled k-best derivation, serial vs 4 engine threads on the
-  // same workload (full saturation from scratch, then a from-scratch
-  // top-k derivation of the final graph). rewrite_apply_sec and
-  // extract_sec are gated fields in tools/bench_diff.py, so losing the
-  // parallel speedup fails CI even if row totals stay in bounds. This
-  // loop deliberately runs AFTER the per-model sections above: the rows
-  // up there predate it and gate against baselines measured without this
-  // extra workload in front of them — perturbing their warm-up state
-  // would read as a regression in code that did not change.
-  std::printf("\n== Pipeline serial vs 4 threads ==\n");
+  // The whole pipeline tail on one thread: full saturation from scratch,
+  // then a from-scratch top-k derivation of the final graph.
+  // rewrite_apply_sec and extract_sec are gated fields in
+  // tools/bench_diff.py. This loop deliberately runs AFTER the per-model
+  // sections above: the rows up there gate against baselines measured
+  // without this extra workload in front of them — perturbing their
+  // warm-up state would read as a regression in code that did not change.
+  std::printf("\n== Pipeline ==\n");
   for (const char *Name : TailModels) {
     const BenchmarkModel M = modelByName(Name);
-    const std::vector<Rewrite> Rules = pipelineRules();
-    std::printf("\n-- %s --\n", Name);
-    double SerialApply = 0.0, SerialExtract = 0.0;
-    std::vector<RankedTerm> SerialRanking;
-    size_t SerialClasses = 0, SerialNodes = 0;
-    for (size_t Threads : {size_t(1), size_t(4)}) {
-      EGraph GT;
-      EClassId RootT = GT.addTerm(M.FlatCsg);
-      GT.rebuild();
-      WallTimer ApplyTimer;
-      Runner R2(RunnerLimits{.NumThreads = Threads});
-      RunnerReport Rep = R2.run(GT, Rules);
-      double SaturateSec = ApplyTimer.seconds();
-      WallTimer ExtractTimer;
-      KBestExtractor KPar(GT, Cost, TopK, Threads);
-      double ExtractSec = ExtractTimer.seconds();
-      std::vector<RankedTerm> Ranking = KPar.extract(RootT);
+    EGraph GT;
+    GT.addTerm(M.FlatCsg);
+    GT.rebuild();
+    WallTimer ApplyTimer;
+    RunnerReport Rep = Runner().run(GT, pipelineRules());
+    double SaturateSec = ApplyTimer.seconds();
+    WallTimer ExtractTimer;
+    KBestExtractor KBest(GT, Cost, TopK);
+    double ExtractSec = ExtractTimer.seconds();
 
-      const char *Kind = Threads == 1 ? "pipeline_serial" : "pipeline_par4";
-      JsonObject &Row = Report.row();
-      Row.add("model", Name)
-          .add("kind", Kind)
-          .add("time_sec", SaturateSec + ExtractSec)
-          .add("rewrite_apply_sec", Rep.ApplySec)
-          .add("extract_sec", ExtractSec)
-          .add("classes", GT.numClasses())
-          .add("nodes", GT.numNodes());
-      addResourceFields(Row);
-      std::printf("  %-18s %8.4f s   (apply %.4f s, extract %.4f s)\n", Kind,
-                  SaturateSec + ExtractSec, Rep.ApplySec, ExtractSec);
-
-      if (Threads == 1) {
-        SerialApply = Rep.ApplySec;
-        SerialExtract = ExtractSec;
-        SerialRanking = std::move(Ranking);
-        SerialClasses = GT.numClasses();
-        SerialNodes = GT.numNodes();
-      } else {
-        double Combined = Rep.ApplySec + ExtractSec;
-        double SerialCombined = SerialApply + SerialExtract;
-        double Speedup = Combined > 0 ? SerialCombined / Combined : 0.0;
-        Row.add("combined_speedup_vs_serial", Speedup);
-        std::printf("  %-18s %8.2fx  (combined apply+extract vs serial)\n",
-                    "par4 speedup", Speedup);
-        // Thread-count independence is a correctness gate here, like the
-        // engine/oracle checks above.
-        bool SameResult = sameRanking(SerialRanking, Ranking) &&
-                          SerialClasses == GT.numClasses() &&
-                          SerialNodes == GT.numNodes();
-        if (!SameResult)
-          std::printf("  !! serial/parallel DISAGREE on %s\n", Name);
-        AllIdentical &= SameResult;
-      }
-    }
+    JsonObject &Row = Report.row();
+    Row.add("model", Name)
+        .add("kind", "pipeline_serial")
+        .add("time_sec", SaturateSec + ExtractSec)
+        .add("rewrite_apply_sec", Rep.ApplySec)
+        .add("extract_sec", ExtractSec)
+        .add("classes", GT.numClasses())
+        .add("nodes", GT.numNodes());
+    addResourceFields(Row);
+    std::printf("  %-18s %-18s %8.4f s   (apply %.4f s, extract %.4f s)\n",
+                Name, "pipeline_serial", SaturateSec + ExtractSec,
+                Rep.ApplySec, ExtractSec);
   }
 
   std::printf("\nworklist total %.4f s vs oracle total %.4f s (%.1fx)\n",

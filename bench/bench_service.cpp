@@ -157,7 +157,7 @@ int main() {
   Cfg.Service.MaxQueueDepth = 256;
   Cfg.DrainGraceSec = 30.0;
   Server S(Cfg);
-  uint16_t Port = 0;
+  std::atomic<uint16_t> Port{0};
   std::thread ServerThread([&] { S.runTcp(0, &Port); });
   for (int I = 0; I < 500 && Port == 0; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

@@ -228,6 +228,7 @@ public:
 private:
   std::string_view Text;
   size_t Pos = 0;
+  size_t Depth = 0; ///< parseTerm() calls in progress
   std::string Diag;
 
   std::string errorAt(std::string_view Message) {
@@ -333,6 +334,12 @@ private:
   }
 
   TermPtr parseTerm() {
+    ParseNesting Level(Depth);
+    if (Level.tooDeep()) {
+      Diag = errorAt("nested deeper than " + std::to_string(kMaxParseDepth) +
+                     " levels");
+      return nullptr;
+    }
     skipWs();
     if (Pos == Text.size()) {
       Diag = errorAt("unexpected end of input");

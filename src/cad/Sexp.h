@@ -43,8 +43,24 @@ struct ParseResult {
   explicit operator bool() const { return Value != nullptr; }
 };
 
+/// Nesting bound of the model parsers (parseSexp, scad::parseScad). Both
+/// are recursive descent, so an input nested deeper than this is rejected
+/// with a diagnostic rather than overflowing the stack. The deepest
+/// Table 1 input nests 65 levels.
+constexpr size_t kMaxParseDepth = 1024;
+
+/// One level of model-parser recursion, held for the lifetime of a
+/// recursive parse call on the parser's \p Depth counter.
+struct ParseNesting {
+  size_t &Depth;
+  explicit ParseNesting(size_t &D) : Depth(D) { ++Depth; }
+  ~ParseNesting() { --Depth; }
+  bool tooDeep() const { return Depth > kMaxParseDepth; }
+};
+
 /// Parses a single term from \p Text. Trailing whitespace is allowed;
-/// trailing non-whitespace is an error.
+/// trailing non-whitespace is an error, and so is nesting deeper than
+/// kMaxParseDepth.
 ParseResult parseSexp(std::string_view Text);
 
 /// Prints \p T as a canonical single-line s-expression. Round-trips through

@@ -472,39 +472,22 @@ TermPtr ReferenceExtractor::build(EClassId Id) const {
 // Top-k extraction: worklist engine
 //===----------------------------------------------------------------------===//
 
-KBestExtractor::KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
-                               size_t NumThreads)
-    : G(G), Fn(Fn), K(K), Threads(resolveThreads(NumThreads)),
-      OneBest(G, Fn) {
+KBestExtractor::KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K)
+    : G(G), Fn(Fn), K(K), OneBest(G, Fn) {
   assert(!G.isDirty() && "extraction on a dirty e-graph");
   assert(K >= 1 && "k must be positive");
   derive();
 }
 
-namespace {
-
-/// Waves below this size run inline on the calling thread: dispatching a
-/// handful of combines costs more in wake-ups than it saves. A property of
-/// the wave (graph-dependent, not thread-count-dependent), so crossing it
-/// never changes results.
-constexpr size_t ParallelWaveThreshold = 64;
-
-} // namespace
-
 void KBestExtractor::derive() {
-  // Wave-scheduled worklist (docs/ARCHITECTURE.md, "Parallel k-best
-  // extraction"). Each round selects the pending classes whose node
-  // children are all settled (children first, so the common acyclic case
-  // recombines every class exactly once), sorts them by (one-best cost,
-  // id), and recombines them against the *frozen* candidate table —
-  // combineClass is a pure function of (graph, table), so wave members
-  // can run on worker threads, each writing its own result slot. Commits
-  // then run serially in wave order, and parents of changed classes
-  // rejoin the pending set. The schedule is a pure function of the
-  // graph, so the table is bit-identical at every thread count; and
-  // because candidate lists improve monotonically toward a unique least
-  // fixpoint (the property the oracle differential tests pin), it agrees
-  // with the serial priority-queue engine it replaced.
+  // Wave-scheduled worklist. Each round selects the pending classes whose
+  // node children are all settled (children first, so the common acyclic
+  // case recombines every class exactly once), sorts them by (one-best
+  // cost, id), and recombines and commits them in that order; parents of
+  // changed classes rejoin the pending set. The schedule is a pure
+  // function of the graph, and because candidate lists improve
+  // monotonically toward a unique least fixpoint (the property the oracle
+  // differential tests pin), the table agrees with the oracle's.
   //
   // Readiness is event-driven, not rescanned: a blocked class can only
   // become ready when a pending child commits (or when it is itself
@@ -548,11 +531,6 @@ void KBestExtractor::derive() {
   if (NumPending == 0)
     return;
 
-  // Concurrent combines only read the graph through find()/eclass();
-  // compress the union-find once so those reads are write-free.
-  // (derive never mutates the graph, so this covers every wave.)
-  G.prepareForConcurrentReads();
-
   auto isReady = [&](EClassId Id) {
     for (const ENode &Node : G.eclass(Id).Nodes)
       for (EClassId Kid : Node.Children) {
@@ -566,7 +544,6 @@ void KBestExtractor::derive() {
   // Wave members sort by (one-best cost, id); the cost is decorated in
   // rather than looked up per comparison.
   std::vector<std::pair<double, EClassId>> Wave;
-  std::vector<std::vector<PendingCand>> Results;
   std::vector<CandRef> NewList;
   // Mirrors the serial engine's pop cap — sheer paranoia for graphs
   // where k-truncation feedback through cycles could oscillate.
@@ -604,73 +581,30 @@ void KBestExtractor::derive() {
     }
     CombinesLeft -= Wave.size();
 
-    Results.resize(Wave.size());
-    auto combineOne = [&](size_t I) {
-      Results[I] = combineClass(Wave[I].second);
-    };
-    if (Threads > 1 && Wave.size() >= ParallelWaveThreshold) {
-      if (!Pool)
-        Pool = std::make_unique<WorkerPool>(Threads - 1);
-      Pool->run(Wave.size(), combineOne);
-    } else {
-      for (size_t I = 0; I < Wave.size(); ++I)
-        combineOne(I);
-    }
-
-    // Commit in wave order. Members leave the pending set first so a
-    // changed wave-mate that references them can re-enqueue them for the
-    // next round; a changed list is observable only through referencing
-    // e-nodes (the parent index, self-loops included). Every committed
-    // class rechecks its still-pending parents — that, plus re-enqueues,
-    // is the complete set of readiness transitions.
+    // Recombine and commit in wave order. Members leave the pending set
+    // first so a changed wave-mate that references them can re-enqueue
+    // them for the next round; a changed list is observable only through
+    // referencing e-nodes (the parent index, self-loops included). Every
+    // committed class rechecks its still-pending parents — that, plus
+    // re-enqueues, is the complete set of readiness transitions. No member
+    // is a child of another (a ready class has no pending child), so each
+    // recombination reads the table as the wave found it.
     for (const auto &[Cost, Id] : Wave) {
       (void)Cost;
       Pending[Id] = 0;
       --NumPending;
     }
-    for (size_t I = 0; I < Wave.size(); ++I) {
-      EClassId Id = Wave[I].second;
+    for (const auto &[Cost, Id] : Wave) {
+      (void)Cost;
+      combineClass(Id, NewList);
       std::vector<CandRef> &Slot = Table[Id];
-      // Intern this member's rows now — the commit loop is the one serial
-      // writer of the row store, and wave order is a pure function of the
-      // graph, so row ids are identical at every thread count. Interning
-      // an unchanged candidate is a dedup hit, not growth — and a class
-      // recombined again (a cycle member re-enqueued by a changed child)
-      // mostly re-derives its previous list, so each pending row is first
-      // checked against the same position of the previous list (operator
-      // + kid row ids is full structural identity), skipping the hash
-      // probe entirely on a match.
-      NewList.clear();
-      NewList.reserve(Results[I].size());
-      for (size_t C = 0; C < Results[I].size(); ++C) {
-        const PendingCand &P = Results[I][C];
-        uint32_t RowId;
-        if (C < Slot.size() &&
-            [&] {
-              const CandRow &R = Rows[Slot[C].Row];
-              if (R.ValueHash != P.ValueHash || R.Operator != P.Operator ||
-                  R.KidsEnd - R.KidsBegin != P.Kids.size())
-                return false;
-              for (size_t KI = 0; KI < P.Kids.size(); ++KI)
-                if (RowKids[R.KidsBegin + KI] != P.Kids[KI])
-                  return false;
-              return true;
-            }())
-          RowId = Slot[C].Row;
-        else
-          RowId = internRow(P.Operator, P.Kids.data(), P.Kids.size(),
-                            P.ValueHash);
-        NewList.push_back({P.Cost, RowId});
-      }
       // Row-id equality is structural equality, so list comparison is O(k).
-      bool Changed = false;
-      bool Equal = Slot.size() == NewList.size();
-      for (size_t C = 0; Equal && C < Slot.size(); ++C)
-        Equal = Slot[C].Cost == NewList[C].Cost && Slot[C].Row == NewList[C].Row;
-      if (!Equal) {
-        Slot = NewList;
-        Changed = true;
-      }
+      bool Changed = Slot.size() != NewList.size();
+      for (size_t C = 0; !Changed && C < Slot.size(); ++C)
+        Changed = Slot[C].Cost != NewList[C].Cost ||
+                  Slot[C].Row != NewList[C].Row;
+      if (Changed)
+        Slot = NewList; // a copy: NewList keeps its capacity for reuse
       for (const auto &[PNode, PClass] : G.canonicalParents(Id)) {
         (void)PNode;
         EClassId P = G.find(PClass);
@@ -806,9 +740,14 @@ TermPtr KBestExtractor::materializeRow(uint32_t Root) const {
   return RowTerms.at(Root);
 }
 
-std::vector<KBestExtractor::PendingCand>
-KBestExtractor::combineClass(EClassId Id) const {
+void KBestExtractor::combineClass(EClassId Id, std::vector<CandRef> &Out) {
+  Out.clear();
   const std::vector<ENode> &Nodes = G.eclass(Id).Nodes;
+  // The class's current list: a class recombined again (a cycle member
+  // re-enqueued by a changed child) mostly re-derives it.
+  auto PrevIt = Table.find(Id);
+  const std::vector<CandRef> *Prev =
+      PrevIt == Table.end() ? nullptr : &PrevIt->second;
 
   // Resolved child candidate lists, flattened across nodes; a node with a
   // candidate-less child stays unusable this round (Arity == NotUsable).
@@ -878,23 +817,32 @@ KBestExtractor::combineClass(EClassId Id) const {
   // the child candidate rows match under value equality — no term is ever
   // materialized. The hash prefilter keeps the scan to (expected) zero
   // row comparisons.
-  auto isDupOf = [&](const PendingCand &U, const Op &O, size_t N,
+  auto isDupOf = [&](const CandRow &U, const Op &O, size_t N,
                      uint32_t IxBegin, size_t Arity) {
     bool ONum = O.kind() == OpKind::Int || O.kind() == OpKind::Float;
     bool UNum = U.Operator.kind() == OpKind::Int ||
                 U.Operator.kind() == OpKind::Float;
     if (ONum || UNum)
       return ONum && UNum && O.numericValue() == U.Operator.numericValue();
-    if (O != U.Operator || U.Kids.size() != Arity)
+    if (O != U.Operator || U.KidsEnd - U.KidsBegin != Arity)
       return false;
     for (size_t I = 0; I < Arity; ++I)
-      if (!rowValueEq(kidRef(N, I, IxPool[IxBegin + I]).Row, U.Kids[I]))
+      if (!rowValueEq(kidRef(N, I, IxPool[IxBegin + I]).Row,
+                      RowKids[U.KidsBegin + I]))
         return false;
     return true;
   };
+  // Operator + kid row ids is full structural identity of a row.
+  auto sameRow = [&](uint32_t R, const Op &O,
+                     const std::vector<uint32_t> &Kids, size_t ValueHash) {
+    const CandRow &Row = Rows[R];
+    return Row.ValueHash == ValueHash && Row.Operator == O &&
+           std::equal(RowKids.begin() + Row.KidsBegin,
+                      RowKids.begin() + Row.KidsEnd, Kids.begin(), Kids.end());
+  };
 
-  std::vector<PendingCand> Out;
   std::vector<size_t> KidHashes;
+  std::vector<uint32_t> KidRows;
   while (!Frontier.empty() && Out.size() < K) {
     Item Top = Frontier.top();
     Frontier.pop();
@@ -908,18 +856,26 @@ KBestExtractor::combineClass(EClassId Id) const {
           Rows[kidRef(Top.NodeIdx, I, IxPool[Top.IxBegin + I]).Row].ValueHash;
     size_t Hash = termValueHashNode(Node.Operator, KidHashes);
     bool Dup = false;
-    for (const PendingCand &U : Out)
-      if (U.ValueHash == Hash &&
-          isDupOf(U, Node.Operator, Top.NodeIdx, Top.IxBegin, Arity)) {
+    for (const CandRef &U : Out)
+      if (Rows[U.Row].ValueHash == Hash &&
+          isDupOf(Rows[U.Row], Node.Operator, Top.NodeIdx, Top.IxBegin,
+                  Arity)) {
         Dup = true;
         break;
       }
     if (!Dup) {
-      std::vector<uint32_t> Kids(Arity);
+      KidRows.resize(Arity);
       for (size_t I = 0; I < Arity; ++I)
-        Kids[I] = kidRef(Top.NodeIdx, I, IxPool[Top.IxBegin + I]).Row;
-      Out.push_back(PendingCand{Top.Cost, Hash, Node.Operator,
-                                std::move(Kids)});
+        KidRows[I] = kidRef(Top.NodeIdx, I, IxPool[Top.IxBegin + I]).Row;
+      // Check the previous list's row at this position before probing
+      // the row index: on a re-derived list it is usually this very row.
+      const size_t Pos = Out.size();
+      uint32_t Row =
+          Prev && Pos < Prev->size() &&
+                  sameRow((*Prev)[Pos].Row, Node.Operator, KidRows, Hash)
+              ? (*Prev)[Pos].Row
+              : internRow(Node.Operator, KidRows.data(), Arity, Hash);
+      Out.push_back({Top.Cost, Row});
     }
 
     // Expand successors: bump one child index at a time, never before the
@@ -937,7 +893,6 @@ KBestExtractor::combineClass(EClassId Id) const {
                      static_cast<uint32_t>(Arity)});
     }
   }
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -40,11 +40,9 @@
 #define SHRINKRAY_EGRAPH_EXTRACT_H
 
 #include "egraph/EGraph.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 
 namespace shrinkray {
@@ -180,19 +178,12 @@ struct ExtractCandidate {
 /// is (operator, child row ids), hashconsed per engine, so a candidate in
 /// the table is just (cost, row id) and row-id equality is structural
 /// equality of candidate programs. Recombination reads and produces row
-/// ids; rows are interned only at the serial commit of each wave (worker
-/// threads never touch the store), and real TermPtrs materialize only in
-/// extract(). Row ids are allocated in wave-commit order — a
-/// pure function of the graph — so the table stays bit-identical at every
-/// thread count.
+/// ids, interning each candidate it keeps, and real TermPtrs materialize
+/// only in extract(). Classes recombine in a wave order that is a pure
+/// function of the graph, so row ids and the table are too.
 class KBestExtractor {
 public:
-  /// \p NumThreads: engine threads for the wave-scheduled recombination
-  /// (see deriveFrom). 1 = serial; 0 = auto (resolveThreads). The wave
-  /// schedule is a pure function of the graph, so any value produces
-  /// bit-identical candidate tables.
-  KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K,
-                 size_t NumThreads = 1);
+  KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K);
 
   /// Up to k cheapest distinct terms of the class, cheapest first.
   std::vector<RankedTerm> extract(EClassId Id) const;
@@ -212,25 +203,14 @@ private:
     double Cost;
     uint32_t Row;
   };
-  /// A recombination result before its row is interned: produced on
-  /// worker threads (which must not mutate the row store), interned at
-  /// the serial wave commit.
-  struct PendingCand {
-    double Cost;
-    size_t ValueHash;
-    Op Operator;
-    std::vector<uint32_t> Kids;
-  };
 
   const EGraph &G;
   const CostFn &Fn;
   size_t K;
-  size_t Threads;    ///< resolved engine thread count (1 = serial)
   Extractor OneBest; ///< processing priority
   std::unordered_map<EClassId, std::vector<CandRef>> Table;
-  /// The row store: append-only, immutable once written (worker threads
-  /// read committed rows lock-free during a wave), deduplicated through
-  /// RowIndex so structurally equal candidates share one row id.
+  /// The row store: append-only, immutable once written, deduplicated
+  /// through RowIndex so structurally equal candidates share one row id.
   std::vector<CandRow> Rows;
   std::vector<uint32_t> RowKids;
   /// Open-addressed dedup index over Rows: a slot holds (structural hash,
@@ -247,22 +227,20 @@ private:
   /// Lazy row -> term materializations (extract() only).
   /// Never invalidated: rows are immutable.
   mutable std::unordered_map<uint32_t, TermPtr> RowTerms;
-  /// Created lazily by the first wave large enough to dispatch; graphs
-  /// that never produce such a wave never start a thread.
-  std::unique_ptr<WorkerPool> Pool;
 
   void derive();
 
   /// Interns (O, Kids[0..N)) in the row store; \p ValueHash must equal
-  /// termValueHashNode(O, kid value hashes). Serial-only (commit path).
+  /// termValueHashNode(O, kid value hashes).
   uint32_t internRow(const Op &O, const uint32_t *Kids, size_t N,
                      size_t ValueHash);
   /// Value-level equality of two rows (the row analogue of
-  /// termApproxEquals at Eps 0). Read-only; safe on worker threads.
+  /// termApproxEquals at Eps 0).
   bool rowValueEq(uint32_t A, uint32_t B) const;
-  /// Recomputes the up-to-k cheapest distinct candidates of \p Id from
-  /// the frozen table. Pure reader of engine state; safe on workers.
-  std::vector<PendingCand> combineClass(EClassId Id) const;
+  /// Recomputes into \p Out the up-to-k cheapest distinct candidates of
+  /// \p Id from the current table, interning each candidate it keeps in
+  /// the order it keeps them. Reads the table, never writes it.
+  void combineClass(EClassId Id, std::vector<CandRef> &Out);
   /// Builds the term a row denotes (iterative, memoized in RowTerms).
   TermPtr materializeRow(uint32_t Row) const;
 };

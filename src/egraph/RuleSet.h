@@ -31,9 +31,7 @@
 ///
 /// searchGroup() only reads the e-graph through const queries (find,
 /// eclass, data) and writes only the caller's per-rule output buffers, so
-/// distinct groups can be searched from distinct threads against one
-/// unmodified graph snapshot — see EGraph::prepareForConcurrentReads for
-/// the lazy-index contract.
+/// every group of one iteration searches the same unmodified graph.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -139,7 +137,6 @@ public:
   /// any fixed rule the matches appear in exactly the order the rule's own
   /// searchIn() would produce over the same candidate subsequence, so
   /// swapping per-rule search for group search is apply-order-invisible.
-  /// const and data-race-free w.r.t. a prepared, unmodified graph.
   void searchGroup(size_t GI, const EGraph &G,
                    const std::vector<Candidate> &Cands,
                    std::vector<std::vector<std::pair<EClassId, Subst>>> &Out)

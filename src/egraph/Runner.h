@@ -23,13 +23,10 @@
 /// indexed search, which costs the same and skips the set bookkeeping.
 /// Saturation cost is therefore proportional to change, not graph size.
 ///
-/// Because phase 1 only reads the graph (one generation stamp covers every
-/// search), the root-op groups can be searched concurrently: with
-/// NumThreads > 1 a small fixed thread pool shards the groups, each worker
-/// writing its own rules' match buffers, and the results are consumed in
-/// stable rule order — so parallel runs are bit-identical to serial ones.
-/// EGraph::prepareForConcurrentReads() is called first so the lazy indexes
-/// (union-find path compression, op-index buckets) are quiescent.
+/// A run is single-threaded: phase 1 searches the root-op groups in
+/// order against the unmodified graph (one generation stamp covers every
+/// search), and phase 2 applies each rule's matches in match order.
+/// Parallelism lives one level up, across jobs (SynthesisService).
 ///
 /// Phase 2 keeps an applied-match memo per rule: a (root, substitution)
 /// pair that already merged is never re-instantiated, so re-found matches
@@ -71,8 +68,8 @@ struct RunnerLimits {
   /// monotone) and saturation still converges to the identical graph.
   size_t MatchLimit = 20000;
   size_t BanLengthIters = 3;    ///< initial ban length when a rule overflows
-  /// Worker threads for the search phase. 0 = auto (min(4, hardware
-  /// concurrency)); 1 = serial. Any value produces bit-identical results.
+  /// Ignored: saturation and extraction run on the calling thread. Kept
+  /// so that callers which still set it compile unchanged.
   size_t NumThreads = 0;
   /// Cooperative cancellation (service jobs, deadlines). Checked at
   /// saturation-iteration boundaries — never mid-iteration, so a run that
@@ -96,17 +93,8 @@ struct IterationStats {
   size_t Classes = 0;   ///< e-classes after the iteration
   double Seconds = 0.0; ///< wall time of this iteration (search+apply+rebuild)
   double SearchSec = 0.0;  ///< phase 1: candidate prep + group searches
-  double ApplySec = 0.0;   ///< phase 2: plan + partitioned merges + serial tail
+  double ApplySec = 0.0;   ///< phase 2: memo-filtered applies
   double RebuildSec = 0.0; ///< invariant restoration + log compaction
-  // Apply-scheduler breakdown (see docs/ARCHITECTURE.md, "Conflict-
-  // partitioned apply"): how the iteration's post-memo matches were
-  // executed. All three are pure functions of the graph — identical at
-  // every thread count. Serial matches cover node-creating
-  // instantiations, programmatic appliers, constant-carrying merges, and
-  // demoted rules.
-  size_t ApplyPartitions = 0; ///< conflict groups emitted by the partitioner
-  size_t ParallelMatches = 0; ///< matches executed on the partitioned path
-  size_t SerialMatches = 0;   ///< matches executed on the serial path
 };
 
 /// Per-rule statistics accumulated across the whole run, so regressions in
@@ -134,8 +122,8 @@ struct RuleStats {
 /// the same mutation sequence, so class ids, node orders, dirty log, and
 /// therefore extraction all agree. The applied-match memo is deliberately
 /// *not* part of the state: a re-found match whose merge already happened
-/// plans to a memo hit or re-applies as a no-change merge, neither of which
-/// perturbs the graph — the memo is a cost optimization, not semantics.
+/// re-applies as a no-change merge, which does not perturb the graph — the
+/// memo is a cost optimization, not semantics.
 ///
 /// `BannedUntil` values are absolute iteration indices, which is why
 /// `IterationsDone` is part of the state: resume continues the iteration

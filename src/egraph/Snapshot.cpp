@@ -309,7 +309,6 @@ std::string EGraph::deserialize(std::istream &Is) {
   DirtyLog = std::move(NewLog);
   Gen = SnapGen;
   DirtyFloor = SnapFloor;
-  PreparedGen = 0;
   LiveClasses = NumLive;
   LiveNodes = NewLiveNodes;
 

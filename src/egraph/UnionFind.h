@@ -36,11 +36,7 @@ public:
 
   size_t size() const { return Parents.size(); }
 
-  /// Canonical representative of \p Id (with path halving). On a fully
-  /// compressed forest (see compressAll) this performs no writes, which is
-  /// what makes concurrent find() calls from the Runner's parallel search
-  /// phase race-free: path halving only fires on chains of length >= 2,
-  /// and compressAll leaves none.
+  /// Canonical representative of \p Id (with path halving).
   EClassId find(EClassId Id) const {
     assert(Id < Parents.size() && "id out of range");
     while (Parents[Id] != Id) {
@@ -50,14 +46,6 @@ public:
       Id = Grand;
     }
     return Id;
-  }
-
-  /// Compresses every path so each id points directly at its root. After
-  /// this, find() is write-free until the next unite() — required before
-  /// handing the forest to concurrent readers.
-  void compressAll() const {
-    for (EClassId Id = 0; Id < Parents.size(); ++Id)
-      Parents[Id] = find(Id);
   }
 
   /// Makes \p Root the representative of \p Child's set. Both must already

@@ -2,6 +2,7 @@
 
 #include "scad/ScadParser.h"
 
+#include "cad/Sexp.h"
 #include "linalg/Vec3.h"
 
 #include <cctype>
@@ -173,6 +174,7 @@ private:
   std::string Diag;
   std::map<std::string, ScadValue> Vars;
   int ExternalCount = 0;
+  size_t Depth = 0; ///< parseStatement() + parsePrimary() calls in progress
 
   bool fail(const std::string &Message) {
     if (Diag.empty()) {
@@ -181,6 +183,11 @@ private:
       Diag = Os.str();
     }
     return false;
+  }
+
+  bool failTooDeep() {
+    return fail("nested deeper than " + std::to_string(kMaxParseDepth) +
+                " levels");
   }
 
   bool expectPunct(char C) {
@@ -193,6 +200,11 @@ private:
   // --- expressions ------------------------------------------------------
 
   std::optional<ScadValue> parsePrimary() {
+    ParseNesting Level(Depth);
+    if (Level.tooDeep()) {
+      failTooDeep();
+      return std::nullopt;
+    }
     const Token &T = Lex.peek();
     if (T.Kind == TokKind::Number) {
       double D = Lex.take().Num;
@@ -403,6 +415,9 @@ private:
   }
 
   bool parseStatement(std::vector<TermPtr> &Out) {
+    ParseNesting Level(Depth);
+    if (Level.tooDeep())
+      return failTooDeep();
     if (Lex.atPunct(';')) { // stray semicolon
       Lex.take();
       return true;

@@ -41,7 +41,9 @@ struct ScadResult {
 };
 
 /// Parses and flattens OpenSCAD \p Source into flat CSG. Top-level
-/// statements are implicitly unioned (OpenSCAD semantics).
+/// statements are implicitly unioned (OpenSCAD semantics). Statements or
+/// expressions nested deeper than kMaxParseDepth (cad/Sexp.h) are an
+/// error.
 ScadResult parseScad(std::string_view Source);
 
 } // namespace scad

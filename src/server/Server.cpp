@@ -351,7 +351,7 @@ int Server::runStdio() {
   return 0;
 }
 
-int Server::runTcp(uint16_t Port, uint16_t *BoundPort) {
+int Server::runTcp(uint16_t Port, std::atomic<uint16_t> *BoundPort) {
   std::signal(SIGPIPE, SIG_IGN);
   int ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (ListenFd < 0) {

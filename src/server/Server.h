@@ -95,9 +95,10 @@ public:
   int runStdio();
 
   /// Serves TCP connections on 127.0.0.1:\p Port (0 = ephemeral) until
-  /// requestStop(). The bound port is reported through \p BoundPort and
-  /// announced on stderr as "listening on 127.0.0.1:<port>".
-  int runTcp(uint16_t Port, uint16_t *BoundPort = nullptr);
+  /// requestStop(). The bound port is reported through \p BoundPort
+  /// (atomic: the caller polls it from another thread) and announced on
+  /// stderr as "listening on 127.0.0.1:<port>".
+  int runTcp(uint16_t Port, std::atomic<uint16_t> *BoundPort = nullptr);
 
   /// Initiates drain-and-exit; callable from any thread and from a
   /// signal handler's flag-forwarding thread. Idempotent.

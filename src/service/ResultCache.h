@@ -21,8 +21,8 @@
 ///  * the *options fingerprint* over every result-relevant knob of
 ///    SynthesisOptions (fuel, solver band, cost, top-k, ...). Knobs that
 ///    cannot change results are deliberately excluded: NumThreads
-///    (saturation is bit-identical at any thread count) and the
-///    cancellation token (cancelled runs are never stored).
+///    (ignored by the engines) and the cancellation token (cancelled runs
+///    are never stored).
 ///
 /// The cached value is the ranked program list; terms round-trip through
 /// the canonical s-expression syntax (bit-exact) and costs through raw

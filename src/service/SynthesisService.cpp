@@ -82,11 +82,10 @@ bool countNumericEdits(const Term &A, const Term &B, size_t &Edits) {
 SynthesisService::SynthesisService(ServiceConfig Cfg)
     : Cfg(Cfg), Cache(Cfg.CacheDir, Cfg.CacheLimits),
       RulesFp(ruleDatabaseFingerprint(pipelineRules())) {
-  unsigned HW = std::thread::hardware_concurrency();
-  HardwareThreads = HW ? HW : 1;
-  size_t N = Cfg.NumWorkers;
-  if (N == 0)
-    N = HardwareThreads;
+  // More workers than hardware threads would only oversubscribe the
+  // machine and run slower than fewer.
+  const size_t HW = std::max(1u, std::thread::hardware_concurrency());
+  const size_t N = Cfg.NumWorkers == 0 ? HW : std::min(Cfg.NumWorkers, HW);
   Workers.reserve(N);
   for (size_t I = 0; I < N; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -267,15 +266,9 @@ bool SynthesisService::cancel(JobId Id) {
 void SynthesisService::workerLoop() {
   for (;;) {
     Job *J = nullptr;
-    size_t ThreadBudget = 1;
     {
       std::unique_lock<std::mutex> Lock(M);
-      // Admission control: never run more jobs at once than the machine
-      // has hardware threads — a pool sized past the machine would
-      // otherwise oversubscribe it and run slower than one worker.
-      WorkCV.wait(Lock, [&] {
-        return Stopping || (!Queue.empty() && RunningJobs < HardwareThreads);
-      });
+      WorkCV.wait(Lock, [&] { return Stopping || !Queue.empty(); });
       if (Stopping)
         return;
       JobId Id = Queue.front();
@@ -293,10 +286,9 @@ void SynthesisService::workerLoop() {
         continue;
       }
       ++RunningJobs;
-      ThreadBudget = std::max<size_t>(1, HardwareThreads / RunningJobs);
     }
     const auto RunStart = Clock::now();
-    runJob(*J, ThreadBudget);
+    runJob(*J);
     // The outcome is retained for the service's lifetime; the request
     // (its source text above all) is not read again.
     J->Spec = JobSpec();
@@ -307,12 +299,11 @@ void SynthesisService::workerLoop() {
       J->State = JobState::Done;
       noteDoneLocked(J->Outcome);
     }
-    WorkCV.notify_one(); // a slot freed up: admit the next queued job
     DoneCV.notify_all();
   }
 }
 
-void SynthesisService::runJob(Job &J, size_t ThreadBudget) {
+void SynthesisService::runJob(Job &J) {
   JobOutcome &Out = J.Outcome;
 
   // --- Resolve the input to flat CSG ----------------------------------
@@ -352,15 +343,7 @@ void SynthesisService::runJob(Job &J, size_t ThreadBudget) {
     return;
   }
 
-  // --- Options: thread budget, cancellation token ----------------------
-  // A forced ServiceConfig count wins; otherwise a job that pinned its
-  // own NumThreads keeps it and everything else gets the admission-time
-  // budget. NumThreads never changes results, only wall clock.
   SynthesisOptions Opts = J.Spec.Options;
-  if (Cfg.JobNumThreads != 0)
-    Opts.Limits.NumThreads = Cfg.JobNumThreads;
-  else if (Opts.Limits.NumThreads == 0)
-    Opts.Limits.NumThreads = ThreadBudget;
 
   // --- Result cache ----------------------------------------------------
   // The key is computed before the token is attached: cancellation state

@@ -29,11 +29,9 @@
 /// input and options (the engines share no mutable state across jobs, and
 /// the symbol and term interners are thread-safe), so N jobs on K workers
 /// produce outputs byte-identical to the same jobs run one at a time — the
-/// scheduler only changes wall-clock, never results. The scheduler never
-/// oversubscribes the machine: at most hardware_concurrency jobs run at
-/// once (extra workers idle), and each admitted job that has not pinned
-/// its own RunnerLimits::NumThreads gets a thread budget of
-/// max(1, hardware threads / jobs currently running).
+/// scheduler only changes wall-clock, never results. A job runs on the
+/// one worker thread that picked it up, and the pool never oversubscribes
+/// the machine: it is clamped to hardware_concurrency workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +52,8 @@ namespace service {
 
 /// Service-wide configuration.
 struct ServiceConfig {
-  /// Worker threads. 0 = one per hardware thread.
+  /// Worker threads, clamped to the hardware thread count. 0 = one per
+  /// hardware thread.
   size_t NumWorkers = 4;
   /// Result-cache directory; empty = in-memory cache only.
   std::string CacheDir;
@@ -63,12 +62,8 @@ struct ServiceConfig {
   /// Result-cache retention budgets (ResultCache::Limits); all zero by
   /// default, i.e. unbounded, matching the pre-budget behavior.
   ResultCache::Limits CacheLimits;
-  /// Override for each job's RunnerLimits::NumThreads. The default of 0
-  /// budgets automatically: a job that pinned its own NumThreads keeps
-  /// it, and every other job gets max(1, hardware threads / jobs
-  /// currently running) when a worker picks it up. Any nonzero value
-  /// forces that thread count on every job. Results are bit-identical at
-  /// any setting, so this is purely a scheduling choice.
+  /// Ignored: every job runs on its worker's thread. Kept so that callers
+  /// which still set it compile unchanged.
   size_t JobNumThreads = 0;
   /// Master switch for the snapshot tier: successful single-round jobs
   /// capture their post-saturation pipeline state, and near-miss requests
@@ -246,7 +241,6 @@ private:
   JobId NextId = 1;
   bool Stopping = false;
   bool Draining = false;      ///< beginDrain(): trySubmit rejects
-  size_t HardwareThreads = 1; ///< hardware_concurrency, floored at 1
   size_t RunningJobs = 0;     ///< jobs a worker is executing right now
   ServiceStats Counters;      ///< cumulative totals (queue/run fields unused)
   std::vector<std::thread> Workers;
@@ -256,10 +250,8 @@ private:
   /// after Outcome.St is final and before notifying DoneCV.
   void noteDoneLocked(const JobOutcome &Out);
   void workerLoop();
-  /// Runs \p J outside the lock; fills J.Outcome. \p ThreadBudget is the
-  /// admission-time value of max(1, hardware threads / running jobs),
-  /// applied unless the job pinned NumThreads (or Cfg forces a count).
-  void runJob(Job &J, size_t ThreadBudget);
+  /// Runs \p J outside the lock; fills J.Outcome.
+  void runJob(Job &J);
 };
 
 } // namespace service

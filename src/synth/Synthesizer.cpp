@@ -361,8 +361,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   // this point, so this one derivation is the run's whole extraction cost.
   const auto ExtractStart = Clock::now();
   Result.Programs =
-      KBestExtractor(G, costFn(Opts.Cost), Opts.TopK, Opts.Limits.NumThreads)
-          .extract(Root);
+      KBestExtractor(G, costFn(Opts.Cost), Opts.TopK).extract(Root);
   Result.Stats.ExtractSeconds =
       std::chrono::duration<double>(Clock::now() - ExtractStart).count();
   const SolveBreakdown &Solve = Solver.breakdown();

@@ -1,4 +1,4 @@
-//===-- tests/ruleset_test.cpp - Compiled rule database + parallel runner -===//
+//===-- tests/ruleset_test.cpp - Compiled rule database + Runner ----------===//
 //
 // Coverage for the compiled rule database (RuleSet) and the Runner work
 // that rides on it:
@@ -8,8 +8,8 @@
 //    on every rule database the pipeline uses and on adversarial
 //    shared-prefix rule sets over hand-built graphs;
 //  * trie shape: shared Bind/Compare prefixes are actually merged;
-//  * determinism: serial and parallel saturation produce identical
-//    e-graphs and identical (non-timing) reports, run to run;
+//  * determinism: reruns produce identical e-graphs and identical
+//    (non-timing) reports;
 //  * match-limit window: explosive rules are banned even when incremental
 //    search keeps their per-search counts small (the dodge), while rules
 //    that merely re-find standing matches are not (the over-trigger);
@@ -234,26 +234,21 @@ std::string nonTimingFingerprint(const RunnerReport &Rep) {
   return Os.str();
 }
 
-TEST(RunnerParallel, SerialAndParallelAreBitIdentical) {
-  auto runWith = [&](size_t Threads, std::string &Dump) {
+TEST(RunnerDeterminism, RerunIsBitIdentical) {
+  auto runOnce = [&](std::string &Dump) {
     EGraph G;
     G.addTerm(models::modelByName("3148599:box-tray").FlatCsg);
     G.rebuild();
-    RunnerLimits L;
-    L.NumThreads = Threads;
-    RunnerReport Rep = Runner(L).run(G, pipelineRules());
+    RunnerReport Rep = Runner().run(G, pipelineRules());
     EXPECT_EQ(G.checkInvariants(), "");
     Dump = G.dump();
     return nonTimingFingerprint(Rep);
   };
-  std::string D1, D4a, D4b;
-  std::string F1 = runWith(1, D1);
-  std::string F4a = runWith(4, D4a);
-  std::string F4b = runWith(4, D4b);
-  EXPECT_EQ(F1, F4a);
-  EXPECT_EQ(F4a, F4b);
-  EXPECT_EQ(D1, D4a);
-  EXPECT_EQ(D4a, D4b);
+  std::string DA, DB;
+  std::string FA = runOnce(DA);
+  std::string FB = runOnce(DB);
+  EXPECT_EQ(FA, FB);
+  EXPECT_EQ(DA, DB);
 }
 
 TEST(RunnerParallel, CompiledAndUncompiledOverloadsAgree) {

@@ -120,6 +120,42 @@ TEST(ScadParseTest, Errors) {
   EXPECT_FALSE(parseScad("union() { cube(1); "));       // unterminated
 }
 
+namespace {
+
+/// \p N nested `union(){` blocks around one cube.
+std::string nestedUnions(size_t N) {
+  std::string Src;
+  for (size_t I = 0; I < N; ++I)
+    Src += "union(){";
+  Src += "cube(1);";
+  Src += std::string(N, '}');
+  return Src;
+}
+
+/// cube() of one literal wrapped in \p N parentheses.
+std::string nestedParens(size_t N) {
+  return "cube(" + std::string(N, '(') + "1" + std::string(N, ')') + ");";
+}
+
+void expectTooDeep(const std::string &Src) {
+  ScadResult R = parseScad(Src);
+  EXPECT_FALSE(R);
+  EXPECT_NE(R.Error.find("nested deeper"), std::string::npos) << R.Error;
+}
+
+} // namespace
+
+// The parser is recursive descent: nesting past kMaxParseDepth is an
+// error, not a stack overflow.
+TEST(ScadParseTest, DeepNestingIsAnErrorNotACrash) {
+  expectTooDeep(nestedUnions(8000));
+  expectTooDeep(nestedUnions(300000));
+  expectTooDeep(nestedParens(300000));
+  // Well within the bound, the same shapes parse.
+  parseOk(nestedUnions(kMaxParseDepth - 24));
+  parseOk(nestedParens(kMaxParseDepth - 24));
+}
+
 TEST(ScadParseTest, GearProgramFlattens) {
   // An OpenSCAD gear rim like the Thingiverse models the paper flattened.
   const char *Src = R"(

@@ -315,6 +315,32 @@ TEST(ServerFrameTest, SubmitWithBadSourceFailsTheJobNotTheServer) {
   submitAndWaitFrame(S, Sess, "after-bad-source");
 }
 
+// A 2.7 MB source nested 300,000 levels deep fits in one frame; the
+// parser behind the queue must fail the job, not crash the worker.
+TEST(ServerFrameTest, DeeplyNestedSourceFailsTheJobNotTheServer) {
+  Server S(quickConfig());
+  Server::Session Sess;
+  std::string Source;
+  for (int I = 0; I < 300000; ++I)
+    Source += "union(){";
+  Source += "cube(1);";
+  Source += std::string(300000, '}');
+  Request R;
+  R.K = Request::Kind::Submit;
+  R.Name = "deep";
+  R.Source = Source;
+  R.SourceIsScad = true;
+  JsonValue Submitted = parsed(S.handleFrame(Sess, encodeRequest(R)));
+  ASSERT_TRUE(okOf(Submitted));
+  uint64_t Job = static_cast<uint64_t>(Submitted.get("job")->asNumber());
+  JsonValue Done = parsed(S.handleFrame(Sess, waitFrame(Job)));
+  EXPECT_TRUE(okOf(Done));
+  EXPECT_EQ(Done.get("status")->asString(), "failed");
+  EXPECT_NE(Done.get("error")->asString().find("nested deeper"),
+            std::string::npos);
+  submitAndWaitFrame(S, Sess, "after-deep-source");
+}
+
 //===----------------------------------------------------------------------===//
 // handleFrame: admission control
 //===----------------------------------------------------------------------===//
@@ -498,12 +524,12 @@ TEST(ServerTcpTest, ClientRoundTripAndGracefulDrain) {
   ServerConfig Cfg = quickConfig();
   Cfg.DrainGraceSec = 10.0;
   Server S(Cfg);
-  uint16_t Port = 0;
+  std::atomic<uint16_t> Port{0};
   std::thread ServerThread([&] { S.runTcp(0, &Port); });
   // runTcp publishes the bound port before accepting; spin briefly.
   for (int I = 0; I < 200 && Port == 0; ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_NE(Port, 0) << "server never bound";
+  ASSERT_NE(Port.load(), 0) << "server never bound";
 
   ClientConnection Conn;
   std::string Error;

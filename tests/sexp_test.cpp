@@ -85,6 +85,27 @@ TEST(SexpParseTest, Errors) {
   EXPECT_FALSE(parseSexp("?"));                     // empty patvar
 }
 
+// The parser is recursive descent: nesting past kMaxParseDepth is an
+// error, not a stack overflow.
+TEST(SexpParseTest, DeepNestingIsAnErrorNotACrash) {
+  auto nestedUnions = [](size_t N) {
+    std::string Src;
+    for (size_t I = 0; I < N; ++I)
+      Src += "(Union ";
+    Src += "Unit";
+    for (size_t I = 0; I < N; ++I)
+      Src += " Unit)";
+    return Src;
+  };
+  for (size_t N : {size_t(8000), size_t(300000)}) {
+    ParseResult R = parseSexp(nestedUnions(N));
+    EXPECT_FALSE(R) << N;
+    EXPECT_NE(R.Error.find("nested deeper"), std::string::npos) << R.Error;
+  }
+  ParseResult Within = parseSexp(nestedUnions(kMaxParseDepth - 1));
+  EXPECT_TRUE(Within) << Within.Error;
+}
+
 TEST(SexpParseTest, ErrorMessagesCarryOffset) {
   ParseResult R = parseSexp("(Union Unit Schmid)");
   ASSERT_FALSE(R);

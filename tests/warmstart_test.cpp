@@ -5,11 +5,11 @@
 // produce exactly the programs, costs, and ranks a cold run of the same
 // request produces, and for same-input requests the same final e-graph
 // dump byte for byte. This suite checks that contract across the full
-// Table 1 model corpus, all three near-miss kinds (deeper fuel, cost
-// swap, localized numeric edit), and 1/2/4 runner threads, both at the
-// Synthesizer level (manual WarmStart plumbing) and end-to-end through
-// SynthesisService's snapshot tier, including cache files an older build
-// wrote in the previous entry format.
+// Table 1 model corpus and all three near-miss kinds (deeper fuel, cost
+// swap, localized numeric edit), both at the Synthesizer level (manual
+// WarmStart plumbing) and end-to-end through SynthesisService's snapshot
+// tier, including cache files an older build wrote in the previous entry
+// format.
 //
 //===----------------------------------------------------------------------===//
 
@@ -119,18 +119,12 @@ TermPtr editedModel(const models::BenchmarkModel &M) {
   return E;
 }
 
-SynthesisOptions baseOptions(size_t Threads) {
-  SynthesisOptions Opts;
-  Opts.Limits.NumThreads = Threads;
-  return Opts;
-}
-
 /// Near-miss kind 1: the capture ran out of iteration fuel one short of
 /// the request; the warm run must resume saturation from the cursors and
 /// land on the cold run's graph byte for byte.
-void checkDeeperFuel(size_t Threads) {
+void checkDeeperFuel() {
   for (const models::BenchmarkModel &M : corpus()) {
-    SynthesisOptions ColdOpts = baseOptions(Threads);
+    SynthesisOptions ColdOpts;
     ColdOpts.KeepGraphDump = true;
     SynthesisResult Cold = Synthesizer(ColdOpts).synthesize(M.FlatCsg);
     size_t ColdIters = Cold.Stats.Rewriting.numIterations();
@@ -138,14 +132,14 @@ void checkDeeperFuel(size_t Threads) {
     // Capture a run starved of its last iteration(s). Models that
     // saturate in one iteration cannot be starved; they exercise the
     // skip-the-replay path instead (stored Saturated, nothing to resume).
-    SynthesisOptions CapOpts = baseOptions(Threads);
+    SynthesisOptions CapOpts;
     CapOpts.CaptureSnapshot = true;
     if (ColdIters >= 2)
       CapOpts.Limits.IterLimit = ColdIters - 1;
     SynthesisResult Captured = Synthesizer(CapOpts).synthesize(M.FlatCsg);
     ASSERT_TRUE(Captured.Snapshot.Present) << M.Name;
 
-    SynthesisOptions WarmOpts = baseOptions(Threads);
+    SynthesisOptions WarmOpts;
     WarmOpts.KeepGraphDump = true;
     SynthesisResult Warm = Synthesizer(WarmOpts).synthesizeWarm(
         M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true));
@@ -165,20 +159,20 @@ void checkDeeperFuel(size_t Threads) {
 /// Near-miss kind 2: same input, different cost function. Saturation is
 /// skipped entirely; extraction runs under the request's cost function on
 /// the restored graph, as it would on a cold run's.
-void checkCostSwap(size_t Threads) {
+void checkCostSwap() {
   for (const models::BenchmarkModel &M : corpus()) {
-    SynthesisOptions ColdOpts = baseOptions(Threads);
+    SynthesisOptions ColdOpts;
     ColdOpts.Cost = CostKind::RewardLoops;
     ColdOpts.KeepGraphDump = true;
     SynthesisResult Cold = Synthesizer(ColdOpts).synthesize(M.FlatCsg);
 
-    SynthesisOptions CapOpts = baseOptions(Threads);
+    SynthesisOptions CapOpts;
     CapOpts.CaptureSnapshot = true; // CostKind::AstSize — the other cost
     SynthesisResult Captured = Synthesizer(CapOpts).synthesize(M.FlatCsg);
     ASSERT_TRUE(Captured.Snapshot.Present) << M.Name;
     size_t CapturedIters = Captured.Stats.Rewriting.numIterations();
 
-    SynthesisOptions WarmOpts = baseOptions(Threads);
+    SynthesisOptions WarmOpts;
     WarmOpts.Cost = CostKind::RewardLoops;
     WarmOpts.KeepGraphDump = true;
     SynthesisResult Warm = Synthesizer(WarmOpts).synthesizeWarm(
@@ -198,11 +192,11 @@ void checkCostSwap(size_t Threads) {
 /// closes over the new subterm. The warm graph is a superset of the cold
 /// one (it still holds the original parameter's classes), so only the
 /// observable output — programs, costs, ranks — is compared, not dumps.
-void checkEdit(size_t Threads) {
+void checkEdit() {
   for (const models::BenchmarkModel &M : corpus()) {
     TermPtr Edited = editedModel(M);
 
-    SynthesisOptions CapOpts = baseOptions(Threads);
+    SynthesisOptions CapOpts;
     CapOpts.CaptureSnapshot = true;
     SynthesisResult Captured = Synthesizer(CapOpts).synthesize(M.FlatCsg);
     ASSERT_TRUE(Captured.Snapshot.Present) << M.Name;
@@ -213,7 +207,7 @@ void checkEdit(size_t Threads) {
     // (the resumed run must end on a quiescent tail), so those get a
     // deeper budget — and the cold reference must run at the same budget
     // for the differential to be meaningful.
-    SynthesisOptions RunOpts = baseOptions(Threads);
+    SynthesisOptions RunOpts;
     if (!Saturated)
       RunOpts.Limits.IterLimit = Captured.Snapshot.IterationsDone + 64;
 
@@ -240,37 +234,34 @@ void checkEdit(size_t Threads) {
 
 } // namespace
 
-TEST(WarmStartTest, DeeperFuelMatchesColdOneThread) { checkDeeperFuel(1); }
-TEST(WarmStartTest, DeeperFuelMatchesColdTwoThreads) { checkDeeperFuel(2); }
-TEST(WarmStartTest, DeeperFuelMatchesColdFourThreads) { checkDeeperFuel(4); }
+TEST(WarmStartTest, DeeperFuelMatchesColdOneThread) { checkDeeperFuel(); }
 
-TEST(WarmStartTest, CostSwapMatchesColdOneThread) { checkCostSwap(1); }
-TEST(WarmStartTest, CostSwapMatchesColdTwoThreads) { checkCostSwap(2); }
-TEST(WarmStartTest, CostSwapMatchesColdFourThreads) { checkCostSwap(4); }
+TEST(WarmStartTest, CostSwapMatchesColdOneThread) { checkCostSwap(); }
 
-TEST(WarmStartTest, EditMatchesColdOneThread) { checkEdit(1); }
-TEST(WarmStartTest, EditMatchesColdTwoThreads) { checkEdit(2); }
-TEST(WarmStartTest, EditMatchesColdFourThreads) { checkEdit(4); }
+TEST(WarmStartTest, EditMatchesColdOneThread) { checkEdit(); }
 
-// Saturation is bit-identical at any thread count, so a snapshot captured
-// single-threaded must restore and resume under a different thread count
-// with the same byte-identity guarantees.
+// RunnerLimits::NumThreads is ignored by the engines and left out of the
+// snapshot, so a capture made under one value must restore and resume
+// under another with the same byte-identity guarantees.
 TEST(WarmStartTest, CaptureAtOneThreadRestoresAtFour) {
   models::BenchmarkModel M = models::modelByName("3362402:gear");
 
-  SynthesisOptions ColdOpts = baseOptions(4);
+  SynthesisOptions ColdOpts;
+  ColdOpts.Limits.NumThreads = 4;
   ColdOpts.KeepGraphDump = true;
   SynthesisResult Cold = Synthesizer(ColdOpts).synthesize(M.FlatCsg);
   size_t ColdIters = Cold.Stats.Rewriting.numIterations();
   ASSERT_GE(ColdIters, 2u) << "gear must take >1 iteration to saturate";
 
-  SynthesisOptions CapOpts = baseOptions(1);
+  SynthesisOptions CapOpts;
+  CapOpts.Limits.NumThreads = 1;
   CapOpts.CaptureSnapshot = true;
   CapOpts.Limits.IterLimit = ColdIters - 1;
   SynthesisResult Captured = Synthesizer(CapOpts).synthesize(M.FlatCsg);
   ASSERT_TRUE(Captured.Snapshot.Present);
 
-  SynthesisOptions WarmOpts = baseOptions(4);
+  SynthesisOptions WarmOpts;
+  WarmOpts.Limits.NumThreads = 4;
   WarmOpts.KeepGraphDump = true;
   SynthesisResult Warm = Synthesizer(WarmOpts).synthesizeWarm(
       M.FlatCsg, toWarmStart(Captured, /*SameInput=*/true));
@@ -286,18 +277,17 @@ TEST(WarmStartTest, CaptureAtOneThreadRestoresAtFour) {
 TEST(WarmStartTest, CorruptWarmStartFallsBackToCold) {
   models::BenchmarkModel M = models::modelByName("3148599:box-tray");
 
-  SynthesisOptions CapOpts = baseOptions(1);
+  SynthesisOptions CapOpts;
   CapOpts.CaptureSnapshot = true;
   SynthesisResult Captured = Synthesizer(CapOpts).synthesize(M.FlatCsg);
   ASSERT_TRUE(Captured.Snapshot.Present);
 
-  SynthesisResult Cold = Synthesizer(baseOptions(1)).synthesize(M.FlatCsg);
+  SynthesisResult Cold = Synthesizer().synthesize(M.FlatCsg);
 
   WarmStart W = toWarmStart(Captured, /*SameInput=*/true);
   W.Graph[W.Graph.size() / 2] ^= 0x40; // payload bit flip -> checksum fail
 
-  SynthesisResult Warm =
-      Synthesizer(baseOptions(1)).synthesizeWarm(M.FlatCsg, W);
+  SynthesisResult Warm = Synthesizer().synthesizeWarm(M.FlatCsg, W);
   EXPECT_TRUE(Warm.Stats.WarmStartAborted);
   EXPECT_FALSE(Warm.Stats.WarmStart);
   EXPECT_EQ(transcript(Cold), transcript(Warm));
