@@ -235,9 +235,9 @@ struct MeasuredRow {
   double RewriteSearchSec = 0.0;
   double RewriteApplySec = 0.0;
   double RewriteRebuildSec = 0.0;
-  // SolveSec broken down by solver-pipeline stage (SolveBreakdown totals):
-  // stage-0 sequence profiling, stage-1 family pruning, stage-2 module
-  // fitting. The remainder of SolveSec is determinization and insertion.
+  // SolveSec broken down by solver step (SolveBreakdown totals): sequence
+  // profiling, family pruning, fitting. The remainder of SolveSec is
+  // determinization and insertion.
   double SolvePreprocessSec = 0.0;
   double SolvePruneSec = 0.0;
   double SolveFitSec = 0.0;

@@ -1,18 +1,14 @@
 //===-- bench/bench_ablation.cpp - Design-choice ablations ----------------===//
 //
-// Ablations for the design choices DESIGN.md calls out (not a paper table;
-// this quantifies why each pipeline stage exists). Each configuration runs
-// the full corpus and reports how many models expose structure in top-5
-// and the average size reduction:
+// Ablations for the pipeline's design choices (not a paper table; this
+// quantifies why each pipeline phase exists). Each configuration runs the
+// full corpus and reports how many models expose structure in top-5 and
+// the average size reduction:
 //
 //   full            — the shipped pipeline
 //   no-sorting      — list manipulation disabled (Sec. 4.3 off)
 //   no-loop-inf     — nested-loop inference disabled (Sec. 5 off)
 //   no-irregular    — irregular-grid fallback disabled
-//   no-reorder      — affine reordering rewrites removed (Fig. 8b off):
-//                     measured via a much smaller rewrite fuel, since rule
-//                     sets are fixed at pipeline level; approximated by
-//                     MainLoopIters with tiny iteration budget
 //   low-fuel        — IterLimit 8 (saturation starved)
 //
 //===----------------------------------------------------------------------===//

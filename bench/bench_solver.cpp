@@ -1,11 +1,11 @@
-//===-- bench/bench_solver.cpp - Solver-pipeline stage breakdown ----------===//
+//===-- bench/bench_solver.cpp - Solver step breakdown --------------------===//
 //
-// Per-model timing of the staged solver pipeline (stage 0 sequence
-// profiling, stage 1 family pruning, stage 2 module fitting) across the
-// 16-model Table 1 corpus, plus the recorded duplicate-element pathology:
-// a Union of three identical translated cubes, which before stage-0 input
-// canonicalization drove the fold-list rules into an unbounded blowup
-// (~90 s / OOM) and now must synthesize in well under a second.
+// Per-model timing of the solver's steps (sequence profiling, family
+// pruning, fitting) across the 16-model Table 1 corpus, plus the recorded
+// duplicate-element pathology: a Union of three identical translated
+// cubes, which before input canonicalization drove the fold-list rules
+// into an unbounded blowup (~90 s / OOM) and now must synthesize in well
+// under a second.
 //
 // The pathology row is a hard gate: this harness exits nonzero when the
 // three-identical-cubes model takes >= 1 s end to end, when its duplicate

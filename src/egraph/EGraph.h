@@ -22,8 +22,7 @@
 ///  * a generation counter stamping every class-touching mutation, so the
 ///    Runner can restrict a rule's search to classes in which a new match
 ///    could have appeared since the rule last searched (takeDirtySince()),
-///    and the extraction engine can re-derive costs for exactly the
-///    classes whose best term may have changed, and
+///    and
 ///  * a merge-stable parent index: each class records the (e-node, class)
 ///    pairs that reference it, compacted lazily by canonicalParents(), so
 ///    cost improvements propagate bottom-up along exactly the edges that

@@ -177,8 +177,8 @@ public:
   RunnerReport run(EGraph &G, const RuleSet &Rules) const;
 
   /// Convenience overload: compiles \p Rules for this run. Callers running
-  /// many saturation rounds over one database (the Synthesizer main loop)
-  /// should compile a RuleSet once and use the overload above.
+  /// many saturation rounds over one database should compile a RuleSet
+  /// once and use the overload above.
   RunnerReport run(EGraph &G, const std::vector<Rewrite> &Rules) const;
 
   /// Like run(), but also exports the final continuation state into

@@ -127,7 +127,7 @@ uint64_t service::optionsFingerprint(const SynthesisOptions &Opts) {
       .u64(static_cast<uint64_t>(Opts.Solver.MaxNiceDenominator));
   F.u64(Opts.TopK)
       .u64(static_cast<uint64_t>(Opts.Cost))
-      .u64(Opts.MainLoopIters)
+      .u64(1) // the retired synthesis round count; keeps old keys valid
       .u64(Opts.EnableLoopInference)
       .u64(Opts.EnableIrregular)
       .u64(Opts.EnableListSorting)

@@ -363,7 +363,7 @@ void SynthesisService::runJob(Job &J) {
   // captured pipeline state instead of saturating from scratch. The
   // Synthesizer validates everything again and falls back to cold on any
   // mismatch, so planning here is best-effort.
-  const bool SnapshotTier = Cfg.EnableWarmStart && Opts.MainLoopIters == 1;
+  const bool SnapshotTier = Cfg.EnableWarmStart;
   CacheKey SnapKey;
   uint64_t ExactHash = 0;
   WarmStart WS;
@@ -416,8 +416,7 @@ void SynthesisService::runJob(Job &J) {
     return; // partial results are never cached
   }
   Out.St = JobOutcome::Status::Succeeded;
-  // A run truncated by the runner's wall-clock safety valve — in any
-  // main-loop round, not just the last one the report retains — is as
+  // A run truncated by the runner's wall-clock safety valve is as
   // machine- and load-dependent as a deadline cancellation: caching it
   // would permanently serve this machine's partial result to every
   // process sharing the cache. Iteration/node limits are deterministic

@@ -8,8 +8,8 @@
 /// The synthesis service: a fixed pool of worker threads draining a FIFO
 /// job queue, with per-job deadlines, cooperative cancellation, and the
 /// content-addressed result cache in front of the pipeline. This is the
-/// layer a batch driver (tools/shrinkray_batch), a throughput harness
-/// (bench_throughput), or a future RPC front end submits work to.
+/// layer the batch driver (tools/shrinkray_batch), the throughput harness
+/// (bench_throughput) and the RPC server (src/server) submit work to.
 ///
 /// Job lifecycle:
 ///

@@ -159,23 +159,3 @@ std::string_view ClosedForm::tableClass() const {
   assert(false && "unknown form kind");
   return "";
 }
-
-TermPtr ClosedForm2::toTerm(const TermPtr &I, const TermPtr &J) const {
-  TermPtr Acc;
-  if (A != 0.0)
-    Acc = scaledIndexTerm(A, I);
-  if (B != 0.0) {
-    TermPtr Bj = scaledIndexTerm(B, J);
-    Acc = Acc ? tAdd(std::move(Acc), std::move(Bj)) : std::move(Bj);
-  }
-  if (!Acc)
-    return numericLiteral(C);
-  return addConstant(std::move(Acc), C);
-}
-
-std::string ClosedForm2::str() const {
-  std::ostringstream Os;
-  Os << formatFloat(A) << "*i + " << formatFloat(B) << "*j + "
-     << formatFloat(C);
-  return Os.str();
-}

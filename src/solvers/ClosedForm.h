@@ -38,10 +38,9 @@ struct ClosedForm {
   double A = 0.0, B = 0.0, C = 0.0, D = 0.0;
   /// Coefficient of determination of the fit on its defining data.
   double R2 = 1.0;
-  /// The solver-pipeline module that produced the fit ("poly", "trig",
-  /// "linear" for the multi-index fits); empty for hand-built forms.
-  /// Reported through InferenceRecord so Table 1 rows are attributable
-  /// to a module.
+  /// The fit that produced the form ("poly", "trig", "linear" for the
+  /// multi-index fits); empty for hand-built forms. Reported through
+  /// InferenceRecord so Table 1 rows are attributable to a fit.
   const char *Module = "";
 
   double evaluate(double I) const;
@@ -59,19 +58,6 @@ struct ClosedForm {
 
   /// The `f` column classification of Table 1: "d1", "d2", or "theta".
   std::string_view tableClass() const;
-};
-
-/// A fitted two-index linear form y(i, j) = a*i + b*j + c, used by the
-/// nested-loop inference (paper Sec. 5).
-struct ClosedForm2 {
-  double A = 0.0, B = 0.0, C = 0.0;
-
-  double evaluate(double I, double J) const { return A * I + B * J + C; }
-
-  /// Renders over two index variables.
-  TermPtr toTerm(const TermPtr &I, const TermPtr &J) const;
-
-  std::string str() const;
 };
 
 /// Builds `Coeff * Index` with the usual simplifications (0, 1, -1), using

@@ -1,12 +1,12 @@
-//===-- solvers/Preprocess.cpp - Solver pipeline stage 0 ------------------===//
+//===-- solvers/Preprocess.cpp - Input and sequence preprocessing ---------===//
 //
 // Part of the ShrinkRay reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stage-0 implementation: union-operand deduplication over flat CSG terms
-/// and the O(n) sequence profile behind the stage-1 pruning tests.
+/// Union-operand deduplication over flat CSG terms and the O(n) sequence
+/// profile behind the family pruning tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 #include <unordered_set>
 
 using namespace shrinkray;
@@ -26,14 +25,11 @@ SequenceProfile shrinkray::sequenceProfile(const std::vector<double> &Ys) {
   if (P.N == 0)
     return P;
   P.Min = P.Max = Ys[0];
-  std::set<double> Distinct;
   for (double Y : Ys) {
     P.Min = std::min(P.Min, Y);
     P.Max = std::max(P.Max, Y);
     P.MaxAbs = std::max(P.MaxAbs, std::fabs(Y));
-    Distinct.insert(Y);
   }
-  P.UniqueValues = Distinct.size();
   for (size_t I = 0; I + 2 < P.N; ++I)
     P.MaxAbsD2 =
         std::max(P.MaxAbsD2, std::fabs(Ys[I + 2] - 2.0 * Ys[I + 1] + Ys[I]));

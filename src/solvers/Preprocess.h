@@ -1,12 +1,11 @@
-//===-- solvers/Preprocess.h - Solver pipeline stage 0 ----------*- C++ -*-===//
+//===-- solvers/Preprocess.h - Input and sequence preprocessing -*- C++ -*-===//
 //
 // Part of the ShrinkRay reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stage 0 of the solver pipeline: canonicalization and cheap sequence
-/// analysis that runs before any fitting.
+/// The cheap analysis that runs before any fitting.
 ///
 /// Two preprocessing layers live here:
 ///
@@ -21,9 +20,9 @@
 ///    synthesizer's behavior on duplicate-free models is untouched.
 ///
 ///  - Sequence profiling: `sequenceProfile` computes the O(n) statistics
-///    (range, finite-difference bounds, value multiplicity) that stage 1
-///    uses to prune closed-form families before any least-squares work
-///    (see Prune.h for the soundness argument).
+///    (range, finite-difference bounds, magnitude) that family pruning
+///    tests before any least-squares work (see Prune.h for the soundness
+///    argument).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +37,7 @@
 namespace shrinkray {
 
 /// O(n) statistics of a scalar sequence, computed once per solve and shared
-/// by every pruning test and fitting module.
+/// by every pruning test.
 struct SequenceProfile {
   size_t N = 0;
   double Min = 0.0, Max = 0.0;
@@ -48,14 +47,11 @@ struct SequenceProfile {
   double MaxAbsD2 = 0.0;
   /// max_i |y_{i+3} - 3 y_{i+2} + 3 y_{i+1} - y_i| (0 when n < 4).
   double MaxAbsD3 = 0.0;
-  /// Number of distinct values (exact comparison) — duplicate-heavy lists
-  /// collapse to a small count; 1 means the sequence is constant.
-  size_t UniqueValues = 0;
 
   double range() const { return Max - Min; }
 };
 
-/// Computes the stage-0 profile of \p Ys.
+/// Computes the profile of \p Ys.
 SequenceProfile sequenceProfile(const std::vector<double> &Ys);
 
 /// Collapses duplicate operands of every Union spine in a flat CSG term.

@@ -1,11 +1,11 @@
-//===-- solvers/Prune.cpp - Solver pipeline stage 1 -----------------------===//
+//===-- solvers/Prune.cpp - Family pruning --------------------------------===//
 //
 // Part of the ShrinkRay reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stage-1 implementation. See Prune.h for the per-family soundness
+/// Family pruning. See Prune.h for the per-family soundness
 /// argument; every test here is a necessary condition of the epsilon-band
 /// verification, checked with a magnitude-scaled slack.
 ///

@@ -1,13 +1,14 @@
-//===-- solvers/Prune.h - Solver pipeline stage 1 ---------------*- C++ -*-===//
+//===-- solvers/Prune.h - Family pruning ------------------------*- C++ -*-===//
 //
 // Part of the ShrinkRay reproduction. MIT licensed; see README.md.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Stage 1 of the solver pipeline: interval pruning. Each test is a cheap
-/// *necessary* condition for a family's fit to pass the epsilon-band
-/// verification, derived from finite differences of the band constraint
+/// Family pruning, the step between profiling a sequence and fitting it.
+/// Each test is a cheap *necessary* condition for a family's fit to pass
+/// the epsilon-band verification, derived from finite differences of the
+/// band constraint
 ///
 ///     |f(i) - y_i| <= Band        for all i, Band = eps + 1e-12.
 ///
@@ -36,11 +37,21 @@
 #ifndef SHRINKRAY_SOLVERS_PRUNE_H
 #define SHRINKRAY_SOLVERS_PRUNE_H
 
-#include "solvers/Pipeline.h"
+#include "solvers/FunctionSolver.h"
 
 namespace shrinkray {
 
-/// The verification band for \p Epsilon (shared with verifyForm).
+/// Bitset of closed-form families, the currency of pruning: one bit per
+/// FormKind.
+enum FamilyBit : unsigned {
+  FamConstant = 1u << 0,
+  FamPoly1 = 1u << 1,
+  FamPoly2 = 1u << 2,
+  FamTrig = 1u << 3,
+  FamAll = FamConstant | FamPoly1 | FamPoly2 | FamTrig,
+};
+
+/// The verification band for \p Epsilon (shared with FunctionSolver::verify).
 inline double epsilonBand(double Epsilon) { return Epsilon + 1e-12; }
 
 /// The floating-point slack added on top of every pruning bound; scales
@@ -50,7 +61,7 @@ inline double pruneSlack(const SequenceProfile &P) {
   return 1e-9 * (1.0 + P.MaxAbs);
 }
 
-/// Stage 1: the FamilyBit mask of families whose necessary conditions \p P
+/// The FamilyBit mask of families whose necessary conditions \p P
 /// satisfies. Families outside the mask cannot produce a verifying fit.
 /// Returns FamAll when pruning is disabled in \p Opts.
 unsigned admissibleFamilies(const SequenceProfile &P,

@@ -49,7 +49,7 @@ struct ChainDecomposition {
   /// Number of distinct element classes (canonical ids). Duplicate-heavy
   /// lists have UniqueElements << numElements(); the determinizer
   /// enumerates chains once per distinct class, so this is also the
-  /// enumeration count behind the decomposition (solver-pipeline stage 0's
+  /// enumeration count behind the decomposition (the determinizer's
   /// dedup awareness).
   size_t UniqueElements = 0;
 

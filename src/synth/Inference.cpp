@@ -113,7 +113,7 @@ void recordModule(const char *Module, std::vector<const char *> &Modules) {
 }
 
 /// Collects the used (non-constant when possible) form kinds of a layer,
-/// plus the pipeline modules that produced them.
+/// plus the fits that produced them.
 void recordForms(const std::array<const ClosedForm *, 3> &Picked,
                  InferenceRecord &Rec) {
   for (const ClosedForm *F : Picked) {
@@ -386,7 +386,7 @@ shrinkray::inferLoops(EGraph &G, EClassId ListClass,
       Rec.K = InferenceRecord::Kind::NestedFold;
       Rec.Bounds = Factors;
       Rec.Forms.assign(1, FormKind::Poly1);
-      // Multi-index linear fits come from the facade, not a module.
+      // fitLinearN returns bare coefficients, not a ClosedForm.
       recordModule("linear", Rec.Modules);
       Records.push_back(std::move(Rec));
     }

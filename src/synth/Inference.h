@@ -34,10 +34,10 @@ struct InferenceRecord {
   enum class Kind { Mapi, NestedFold, IrregularFold } K = Kind::Mapi;
   std::vector<int64_t> Bounds;       ///< loop bounds, outermost first
   std::vector<FormKind> Forms;       ///< closed-form classes used
-  /// The solver-pipeline modules whose fits drove this insertion ("poly",
-  /// "trig", "linear"), unique in first-use order. Static names
-  /// (ClosedForm::Module): the service retains every finished job's
-  /// records, so they hold no heap strings.
+  /// The fits that drove this insertion ("poly", "trig", "linear"),
+  /// unique in first-use order. Static names (ClosedForm::Module): the
+  /// service retains every finished job's records, so they hold no heap
+  /// strings.
   std::vector<const char *> Modules;
 
   /// Table 1 "n-l" notation, e.g. "n1,60" or "n2,3,5".

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Implementation of the end-to-end pipeline (paper Figure 5) and the
-/// loop-shape reporting behind Table 1's n-l/f columns. The main loop
+/// loop-shape reporting behind Table 1's n-l/f columns. One round
 /// saturates and solves; one KBestExtractor derived on the finished graph
 /// extracts the top-k, and wall clock is attributed to the
 /// rewrite/solve/extract phases (SynthesisStats).
@@ -69,8 +69,8 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
 
   SynthesisResult Result;
 
-  // Solver-pipeline stage 0 begins at the input: duplicate Union operands
-  // are dropped before the e-graph ever sees them (union is idempotent).
+  // Preprocessing begins at the input: duplicate Union operands are
+  // dropped before the e-graph ever sees them (union is idempotent).
   // Duplicate elements are the recorded saturation pathology — `union-idem`
   // merges Union(x, x) into x's own class and the fold-list rules then grow
   // list classes without bound — so canonicalizing here turns a multi-GB
@@ -84,10 +84,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   EGraph G;
 
   const std::vector<Rewrite> Rules = pipelineRules();
-  // One compiled database for every saturation round: the shared-prefix
-  // tries are a pure function of the rules, so recompiling per round
-  // would only burn time.
-  const RuleSet CompiledRules(Rules);
+  const RuleSet CompiledRules(Rules); // keeps a reference to Rules
 
   // --- Warm-start restore ------------------------------------------------
   // Bring the captured graph and saturation cursors back up *before*
@@ -101,12 +98,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     const auto RestoreStart = Clock::now();
     Result.Stats.WarmStart = true;
     Result.Stats.WarmStartEdit = WarmEdited;
-    // The capture point is specific to single-round pipelines; the service
-    // never offers snapshots to multi-round requests, but validate anyway.
-    if (Opts.MainLoopIters != 1) {
-      Aborted = true;
-      return Result;
-    }
     std::istringstream GraphBytes(W->Graph);
     if (!G.deserialize(GraphBytes).empty() ||
         !deserializeRunnerCursors(W->Cursors, Cursors).empty()) {
@@ -161,9 +152,9 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
   const bool WarmResume =
       W && (WarmChanged || (Cursors.Stop == StopReason::IterLimit &&
                             Opts.Limits.IterLimit > Cursors.IterationsDone));
-  // The job's cancellation token is shared with the solver pipeline so a
-  // deadline firing mid-solve stops fitting work between stages and inside
-  // the trig frequency scan (previously the one uncancellable span).
+  // The job's cancellation token is shared with the solver so a deadline
+  // firing mid-solve stops fitting work between family fits and inside the
+  // trig frequency scan.
   SolverOptions SolverOpts = Opts.Solver;
   SolverOpts.Cancel = Opts.Limits.Cancel;
   const FunctionSolver Solver(SolverOpts);
@@ -181,11 +172,12 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     return true;
   };
 
+  // --- Syntactic rewrites (Fig. 5 line 4) -------------------------------
+  // One round: the paper finds a single saturate-and-solve pass suffices.
   Runner SaturationRunner(Opts.Limits);
-  for (unsigned Iter = 0; Iter < Opts.MainLoopIters && !cancelled(); ++Iter) {
-    // --- Syntactic rewrites (Fig. 5 line 4) -----------------------------
+  if (!cancelled()) {
     const auto RewriteStart = Clock::now();
-    if (W && Iter == 0) {
+    if (W) {
       if (WarmResume) {
         Result.Stats.Rewriting =
             SaturationRunner.resume(G, CompiledRules, Cursors);
@@ -222,16 +214,18 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       // feed the pre-solve snapshot capture below.
       Result.Stats.Rewriting = SaturationRunner.run(G, CompiledRules, Cursors);
     }
-    if (Result.Stats.Rewriting.Stop == StopReason::TimeLimit)
-      Result.Stats.WallClockTruncated = true;
-    Result.Stats.RewriteSeconds +=
+    Result.Stats.WallClockTruncated =
+        Result.Stats.Rewriting.Stop == StopReason::TimeLimit;
+    Result.Stats.RewriteSeconds =
         std::chrono::duration<double>(Clock::now() - RewriteStart).count();
-    Result.Stats.RewriteSearchSeconds += Result.Stats.Rewriting.SearchSec;
-    Result.Stats.RewriteApplySeconds += Result.Stats.Rewriting.ApplySec;
-    Result.Stats.RewriteRebuildSeconds += Result.Stats.Rewriting.RebuildSec;
-    if (cancelled())
-      break;
+    Result.Stats.RewriteSearchSeconds = Result.Stats.Rewriting.SearchSec;
+    Result.Stats.RewriteApplySeconds = Result.Stats.Rewriting.ApplySec;
+    Result.Stats.RewriteRebuildSeconds = Result.Stats.Rewriting.RebuildSec;
+  }
 
+  // The token latches, so a cancellation seen before saturation skips the
+  // solve too.
+  if (!cancelled()) {
     // --- Warm-start capture (pre-solve) ---------------------------------
     // The snapshot freezes the pipeline right here: saturated graph and
     // saturation cursors at one graph generation. Post-solve state is
@@ -240,7 +234,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
     // non-deterministically, and when a warm run didn't resume (its state
     // equals the snapshot it restored).
     G.rebuild();
-    if (Opts.CaptureSnapshot && Iter == 0 && Opts.MainLoopIters == 1 &&
+    if (Opts.CaptureSnapshot &&
         Result.Stats.Rewriting.Stop != StopReason::TimeLimit &&
         Result.Stats.Rewriting.Stop != StopReason::Cancelled &&
         !(W && !WarmResume)) {
@@ -308,7 +302,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       if (SeenLists.insert(Best.first).second)
         Sites.emplace_back(FoldClass, Best.first);
     }
-    Result.Stats.FoldSites += Sites.size();
+    Result.Stats.FoldSites = Sites.size();
 
     // --- Determinize, sort, and solve each context (Fig. 5 lines 5-7) ---
     for (const auto &[FoldClass, ListClass] : Sites) {
@@ -349,16 +343,16 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       }
       G.rebuild();
     }
-    Result.Stats.SolveSeconds +=
+    Result.Stats.SolveSeconds =
         std::chrono::duration<double>(Clock::now() - SolveStart).count();
   }
   G.rebuild();
 
   // --- Top-k extraction (Fig. 5 lines 8-9) -----------------------------
-  // One derivation on the finished graph, after the last round's solve —
-  // or wherever a cancellation left it (a partial result), or on the input
-  // graph as-is when MainLoopIters == 0. Nothing reads the table before
-  // this point, so this one derivation is the run's whole extraction cost.
+  // One derivation on the finished graph, after the solve — or wherever a
+  // cancellation left it (a partial result). Nothing reads the table
+  // before this point, so this one derivation is the run's whole
+  // extraction cost.
   const auto ExtractStart = Clock::now();
   Result.Programs =
       KBestExtractor(G, costFn(Opts.Cost), Opts.TopK).extract(Root);

@@ -35,16 +35,15 @@ struct SynthesisOptions {
   SolverOptions Solver;        ///< epsilon band etc.
   size_t TopK = 5;             ///< programs to return (paper uses 5)
   CostKind Cost = CostKind::AstSize;
-  unsigned MainLoopIters = 1;  ///< paper: one iteration suffices in practice
   bool EnableLoopInference = true;
   bool EnableIrregular = true;
   bool EnableListSorting = true;
   size_t MaxFoldSites = 256;   ///< guard against pathological inputs
   /// Export a warm-start snapshot (SynthesisResult::Snapshot) capturing
   /// the post-saturation, pre-solve pipeline state. Captured only when
-  /// MainLoopIters == 1 and the saturation round stopped on a
-  /// deterministic reason (never TimeLimit or a cancellation). Pure
-  /// bookkeeping: the synthesis itself is byte-identical either way.
+  /// the saturation round stopped on a deterministic reason (never
+  /// TimeLimit or a cancellation). Pure bookkeeping: the synthesis itself
+  /// is byte-identical either way.
   bool CaptureSnapshot = false;
   /// Export the final e-graph's debug dump (SynthesisResult::GraphDump).
   /// Differential tests byte-compare warm and cold dumps with this; it is
@@ -74,14 +73,13 @@ struct SynthesisStats {
   /// well-formed, equivalent terms — just not necessarily the ones a full
   /// run would rank first).
   bool Cancelled = false;
-  /// True when *any* main-loop saturation round stopped on the runner's
-  /// wall-clock safety valve (RunnerLimits::TimeLimitSec). Unlike the
-  /// iteration/node fuel limits this is machine- and load-dependent, so
-  /// such results must not enter the shared result cache (Rewriting only
-  /// retains the last round's report — this flag covers them all).
+  /// True when the saturation round stopped on the runner's wall-clock
+  /// safety valve (RunnerLimits::TimeLimitSec). Unlike the iteration/node
+  /// fuel limits this is machine- and load-dependent, so such results must
+  /// not enter the shared result cache.
   bool WallClockTruncated = false;
-  RunnerReport Rewriting;      ///< saturation report (last main iteration)
-  /// Primitives removed by stage-0 input canonicalization (duplicate Union
+  RunnerReport Rewriting;      ///< saturation report
+  /// Primitives removed by input canonicalization (duplicate Union
   /// operands; union is idempotent). 0 for duplicate-free inputs, where
   /// canonicalization is the identity.
   size_t DedupedPrimitives = 0;
@@ -91,20 +89,19 @@ struct SynthesisStats {
   size_t ENodes = 0;           ///< final graph size
   size_t EClasses = 0;
   double Seconds = 0.0;        ///< end-to-end wall clock
-  // Per-phase wall clock, summed across main-loop iterations. The three
-  // phases cover nearly all of Seconds; the remainder is graph setup.
+  // Per-phase wall clock. The three phases cover nearly all of Seconds;
+  // the remainder is graph setup.
   double RewriteSeconds = 0.0; ///< equality saturation (Runner)
   double SolveSeconds = 0.0;   ///< determinize + solver inference + sorting
   double ExtractSeconds = 0.0; ///< top-k derivation + extract (one pass)
-  // Saturation sub-phases (RunnerReport totals summed across main-loop
-  // iterations): compiled-group search, memo-filtered apply, and
-  // rebuild + dirty-log compaction.
+  // Saturation sub-phases (RunnerReport totals): compiled-group search,
+  // memo-filtered apply, and rebuild + dirty-log compaction.
   double RewriteSearchSeconds = 0.0;
   double RewriteApplySeconds = 0.0;
   double RewriteRebuildSeconds = 0.0;
-  // Solver-pipeline stages of SolveSeconds (SolveBreakdown totals): stage-0
-  // sequence profiling, stage-1 family pruning, stage-2 module fitting.
-  // The remainder of SolveSeconds is determinization, graph insertion, and
+  // The solver's share of SolveSeconds (SolveBreakdown totals): sequence
+  // profiling, family pruning, and fitting the surviving families. The
+  // remainder of SolveSeconds is determinization, graph insertion, and
   // the multi-index loop fits.
   double SolvePreprocessSeconds = 0.0;
   double SolvePruneSeconds = 0.0;

@@ -1,27 +1,27 @@
-//===-- tests/solver_pipeline_test.cpp - Staged solver pipeline -----------===//
+//===-- tests/solver_pipeline_test.cpp - Profile, prune, fit --------------===//
 //
-// Coverage for the staged solver pipeline (Pipeline.h) and the stage-0
-// input canonicalization:
+// Coverage for the solve's profile -> prune -> fit path (FunctionSolver.h,
+// Prune.h) and the input canonicalization (Preprocess.h):
 //
 //  * the duplicate-element pathology: a Union of three identical cubes
 //    must synthesize in well under a second with a bounded e-graph (the
 //    pre-pipeline behavior was an unbounded fold-list blowup);
 //  * dedupeUnionOperands unit behavior: pointer identity on duplicate-free
 //    inputs, per-spine multiset collapse, boolean contexts kept separate;
-//  * sequence profiling and the stage-1 interval-pruning bounds, including
+//  * sequence profiling and the family-pruning bounds, including
 //    near-band-edge sequences that must NOT be pruned;
 //  * pruning soundness differentials: solveAll with pruning on vs. off is
 //    bit-identical on adversarial and random sequences, and end-to-end
 //    synthesis with pruning disabled reproduces the exact programs on the
-//    whole bench corpus (per-module vs. monolithic equivalence);
-//  * cancellation: a fired token short-circuits the pipeline between
-//    stages and inside the trig frequency scan, and a cancelled synthesis
+//    whole bench corpus;
+//  * cancellation: a fired token short-circuits the solve between family
+//    fits and inside the trig frequency scan, and a cancelled synthesis
 //    still returns a well-formed partial result;
 //  * extraction after fold-site mutations: a scratch worklist derivation
 //    after each of a sequence of solver-style graph mutations stays
 //    bit-identical to the fixed-point oracle;
-//  * dedup-aware determinization (UniqueElements) and solver-module
-//    attribution (InferenceRecord::Modules).
+//  * dedup-aware determinization (UniqueElements) and fit attribution
+//    (InferenceRecord::Modules).
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,9 +31,7 @@
 #include "models/Models.h"
 #include "rewrites/Rules.h"
 #include "solvers/FunctionSolver.h"
-#include "solvers/PolyModule.h"
 #include "solvers/Prune.h"
-#include "solvers/TrigModule.h"
 #include "synth/Synthesizer.h"
 
 #include <gtest/gtest.h>
@@ -139,7 +137,7 @@ TEST(SolverPathology, CommittedExampleMatchesReproducer) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stage 0: input canonicalization (dedupeUnionOperands)
+// Input canonicalization (dedupeUnionOperands)
 //===----------------------------------------------------------------------===//
 
 TEST(SolverPreprocess, DedupeIsPointerIdentityWithoutDuplicates) {
@@ -189,16 +187,14 @@ TEST(SolverPreprocess, SequenceProfileStatistics) {
   EXPECT_EQ(P.MaxAbs, 8.0);
   EXPECT_EQ(P.MaxAbsD2, 2.0); // |8 - 2*4 + 2| = 2
   EXPECT_EQ(P.MaxAbsD3, 1.0); // |8 - 3*4 + 3*2 - 1| = 1
-  EXPECT_EQ(P.UniqueValues, 4u);
 
   SequenceProfile Dup = sequenceProfile({5, 5, 5});
-  EXPECT_EQ(Dup.UniqueValues, 1u);
   EXPECT_EQ(Dup.range(), 0.0);
   EXPECT_EQ(Dup.MaxAbsD2, 0.0);
 }
 
 //===----------------------------------------------------------------------===//
-// Stage 1: interval pruning
+// Family pruning
 //===----------------------------------------------------------------------===//
 
 TEST(SolverPrune, AdmissibleFamiliesFollowTheBounds) {
@@ -251,7 +247,7 @@ TEST(SolverPrune, NearBandEdgeSequencesAreNotPruned) {
   std::vector<double> Ys = {0.0, 0.002, 0.0, 0.002};
   unsigned Mask = admissibleFamilies(sequenceProfile(Ys), Opts);
   EXPECT_EQ(Mask & FamConstant, FamConstant);
-  std::optional<ClosedForm> Fit = fitPolyForm(Ys, 0, Opts);
+  std::optional<ClosedForm> Fit = FunctionSolver(Opts).fitPoly(Ys, 0);
   ASSERT_TRUE(Fit.has_value());
   EXPECT_EQ(Fit->Kind, FormKind::Constant);
 
@@ -259,7 +255,7 @@ TEST(SolverPrune, NearBandEdgeSequencesAreNotPruned) {
   std::vector<double> Beyond = {0.0, 0.0021, 0.0, 0.0021};
   EXPECT_EQ(admissibleFamilies(sequenceProfile(Beyond), Opts) & FamConstant,
             0u);
-  EXPECT_FALSE(fitPolyForm(Beyond, 0, Opts).has_value());
+  EXPECT_FALSE(FunctionSolver(Opts).fitPoly(Beyond, 0).has_value());
 }
 
 TEST(SolverPrune, TrigPeriodFeasibility) {
@@ -275,7 +271,7 @@ TEST(SolverPrune, TrigPeriodFeasibility) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stage 2: modules, preference order, attribution
+// Fitting: preference order, attribution
 //===----------------------------------------------------------------------===//
 
 TEST(SolverPipeline, ConstantSubsumesEverything) {
@@ -321,7 +317,7 @@ TEST(SolverPipeline, BreakdownCountsStages) {
 }
 
 //===----------------------------------------------------------------------===//
-// Pruning soundness differentials (per-module pipeline vs. unpruned)
+// Pruning soundness differentials (pruned vs. unpruned solves)
 //===----------------------------------------------------------------------===//
 
 TEST(SolverPipeline, PruningDifferentialOnAdversarialSequences) {
@@ -338,7 +334,7 @@ TEST(SolverPipeline, PruningDifferentialOnAdversarialSequences) {
   // Duplicate-heavy: many repeats of two values.
   Sequences.push_back({3, 3, 3, 9, 3, 3, 3, 9, 3, 3, 3, 9});
   // Mixed poly/trig: an offset sinusoid (Figure 19's shape) keeps both the
-  // poly and trig candidates alive until stage 2 decides.
+  // poly and trig candidates alive until the fits decide.
   {
     std::vector<double> Mixed;
     for (int I = 0; I < 10; ++I)
@@ -379,7 +375,7 @@ TEST(SolverPipeline, PruningDifferentialOnAdversarialSequences) {
 }
 
 TEST(SolverPipeline, PruningDifferentialOnBenchCorpus) {
-  // End-to-end: synthesis with stage-1 pruning disabled must reproduce the
+  // End-to-end: synthesis with family pruning disabled must reproduce the
   // exact programs (sexp and cost) on every bench model.
   for (const models::BenchmarkModel &M : models::allModels()) {
     SynthesisOptions On;
@@ -412,19 +408,19 @@ TEST(SolverPipeline, CancelStopsTrigScanWithPartialResult) {
     Sine.push_back(10.0 * std::sin(30.0 * I * kPi / 180.0));
 
   SolverOptions Live;
-  ASSERT_TRUE(fitTrigForm(Sine, Live).has_value());
+  ASSERT_TRUE(FunctionSolver(Live).fitTrig(Sine).has_value());
 
   // A fired token stops the frequency scan at its next poll; with no
   // candidate accepted yet, the scan reports nothing rather than hanging.
   SolverOptions Fired;
   Fired.Cancel = CancelToken::make();
   Fired.Cancel.cancel();
-  EXPECT_FALSE(fitTrigForm(Sine, Fired).has_value());
+  EXPECT_FALSE(FunctionSolver(Fired).fitTrig(Sine).has_value());
 }
 
 TEST(SolverPipeline, CancelledSynthesisReturnsPartialResult) {
   // Deterministic mid-pipeline deadline: a pre-fired token makes every
-  // stage (saturation rounds, solver modules, trig scan) bail at its next
+  // phase (saturation, family fits, trig scan) bail at its next
   // check, and the pipeline must still return a well-formed respelling of
   // the input rather than nothing.
   SynthesisOptions Opts;
@@ -461,7 +457,7 @@ void expectKBestMatchesOracle(const EGraph &G, const KBestExtractor &Engine,
 
 } // namespace
 
-TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
+TEST(ExtractAfterFoldSites, ScratchDerivationMatchesOracleAfterEachMutation) {
   // The synthesizer derives the k-best table once, on the graph the fold
   // sites' insertions leave behind. Replay a sequence of such insertions
   // and check a scratch derivation against the fixed-point oracle after
@@ -495,7 +491,7 @@ TEST(ExtractRefresh, PerSiteRefreshMatchesOracleAcrossMutations) {
 }
 
 //===----------------------------------------------------------------------===//
-// Dedup-aware determinization and module reporting
+// Dedup-aware determinization and fit reporting
 //===----------------------------------------------------------------------===//
 
 TEST(SolverPipeline, DeterminizeReportsUniqueElements) {

@@ -232,49 +232,56 @@ TEST(SolverTest, RotationPeriodDetection) {
 TEST(SolverTest, Linear2RegularGrid) {
   // Figure 14: x = 24 i - 12 over a 2x2 grid.
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  std::vector<std::vector<double>> Idx = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   std::vector<double> Xs = {-12, -12, 12, 12};
-  auto F = S.fitLinear2(Idx, Xs);
+  auto F = S.fitLinearN(Idx, Xs);
   ASSERT_TRUE(F.has_value());
-  EXPECT_DOUBLE_EQ(F->A, 24.0);
-  EXPECT_DOUBLE_EQ(F->B, 0.0);
-  EXPECT_DOUBLE_EQ(F->C, -12.0);
+  ASSERT_EQ(F->size(), 3u);
+  EXPECT_DOUBLE_EQ((*F)[0], -12.0);
+  EXPECT_DOUBLE_EQ((*F)[1], 24.0);
+  EXPECT_DOUBLE_EQ((*F)[2], 0.0);
 }
 
 TEST(SolverTest, Linear2BothIndices) {
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx;
+  std::vector<std::vector<double>> Idx;
   std::vector<double> Ys;
   for (int I = 0; I < 3; ++I)
     for (int J = 0; J < 4; ++J) {
-      Idx.emplace_back(I, J);
+      Idx.push_back({static_cast<double>(I), static_cast<double>(J)});
       Ys.push_back(3.0 * I - 2.0 * J + 7.0);
     }
-  auto F = S.fitLinear2(Idx, Ys);
+  auto F = S.fitLinearN(Idx, Ys);
   ASSERT_TRUE(F.has_value());
-  EXPECT_DOUBLE_EQ(F->A, 3.0);
-  EXPECT_DOUBLE_EQ(F->B, -2.0);
-  EXPECT_DOUBLE_EQ(F->C, 7.0);
-}
-
-TEST(SolverTest, Linear2DegenerateColumn) {
-  // j never varies: rank-deficient; solver falls back to a 1D fit.
-  FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx = {{0, 0}, {1, 0}, {2, 0}};
-  std::vector<double> Ys = {1.0, 3.0, 5.0};
-  auto F = S.fitLinear2(Idx, Ys);
-  ASSERT_TRUE(F.has_value());
-  EXPECT_DOUBLE_EQ(F->A, 2.0);
-  EXPECT_DOUBLE_EQ(F->C, 1.0);
+  ASSERT_EQ(F->size(), 3u);
+  EXPECT_DOUBLE_EQ((*F)[0], 7.0);
+  EXPECT_DOUBLE_EQ((*F)[1], 3.0);
+  EXPECT_DOUBLE_EQ((*F)[2], -2.0);
 }
 
 TEST(SolverTest, Linear2RejectsNonPlanarData) {
   FunctionSolver S;
-  std::vector<std::pair<double, double>> Idx = {
-      {0, 0}, {0, 1}, {1, 0}, {1, 1}};
+  std::vector<std::vector<double>> Idx = {{0, 0}, {0, 1}, {1, 0}, {1, 1}};
   std::vector<double> Ys = {0.0, 1.0, 2.0, 50.0};
-  EXPECT_FALSE(S.fitLinear2(Idx, Ys).has_value());
+  EXPECT_FALSE(S.fitLinearN(Idx, Ys).has_value());
+}
+
+TEST(SolverTest, Linear3Grid) {
+  // A triply nested loop over a 2x4x5 grid: y = 3 + 40 i + 12.5 j - 6 k,
+  // recovered with every coefficient snapped to its exact value.
+  FunctionSolver S;
+  std::vector<std::vector<double>> Idx;
+  std::vector<double> Ys;
+  for (int I = 0; I < 2; ++I)
+    for (int J = 0; J < 4; ++J)
+      for (int K = 0; K < 5; ++K) {
+        Idx.push_back({static_cast<double>(I), static_cast<double>(J),
+                       static_cast<double>(K)});
+        Ys.push_back(3.0 + 40.0 * I + 12.5 * J - 6.0 * K);
+      }
+  auto F = S.fitLinearN(Idx, Ys);
+  ASSERT_TRUE(F.has_value());
+  EXPECT_EQ(*F, (std::vector<double>{3.0, 40.0, 12.5, -6.0}));
 }
 
 TEST(SolverTest, CustomEpsilonWidensBand) {

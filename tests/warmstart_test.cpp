@@ -493,19 +493,3 @@ TEST(WarmStartServiceTest, LargeEditRunsCold) {
   EXPECT_FALSE(Out.Result.Stats.WarmStart);
   EXPECT_FALSE(Out.Result.Stats.WarmStartAborted);
 }
-
-TEST(WarmStartServiceTest, MultiRoundJobsBypassSnapshotTier) {
-  models::BenchmarkModel M = models::modelByName("3148599:box-tray");
-  SynthesisOptions Opts;
-  Opts.MainLoopIters = 2;
-
-  service::ServiceConfig Cfg;
-  Cfg.NumWorkers = 1;
-  service::SynthesisService Svc(Cfg);
-  const service::JobOutcome &Out = Svc.wait(Svc.submit(jobFor(M.FlatCsg, Opts)));
-  ASSERT_EQ(Out.St, service::JobOutcome::Status::Succeeded);
-  service::ResultCache::Stats St = Svc.cache().stats();
-  EXPECT_EQ(St.SnapshotStores, 0u);
-  EXPECT_EQ(St.SnapshotHits, 0u);
-  EXPECT_EQ(St.SnapshotMisses, 0u);
-}

@@ -22,6 +22,9 @@
 //     -cost size|loops   extraction cost (default size)
 //     -out DIR       write each job's best program to DIR/<name>.sexp
 //     -quiet         suppress the per-job table (summary only)
+//     -connect HOST:PORT  submit to a running shrinkray_serve instead of
+//                    synthesizing in-process; the -out tree is the same
+//     -client NAME   quota identity for -connect
 //
 //   Exit status: 0 when every job succeeded (cache hits and deadline
 //   cancellations count as success — they returned a result), 1 when any
