@@ -101,8 +101,8 @@ void BM_ExtractOneBest(benchmark::State &State) {
   R.run(G, pipelineRules());
   AstSizeCost Cost;
   for (auto _ : State) {
-    Extractor Ex(G, Cost);
-    benchmark::DoNotOptimize(Ex.bestCost(0));
+    KBestExtractor Ex(G, Cost, 1);
+    benchmark::DoNotOptimize(Ex.extract(0));
   }
 }
 BENCHMARK(BM_ExtractOneBest)->Arg(8)->Arg(16)->Arg(32)

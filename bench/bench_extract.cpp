@@ -10,22 +10,24 @@
 //   saturate_warm / saturate_rest
 //       saturation in two stages (a few iterations, then the rest), so the
 //       rows stay comparable with earlier trajectories;
-//   onebest_worklist / onebest_oracle
-//       worklist one-best derivation vs the whole-graph fixed point;
+//   onebest_oracle
+//       the whole-graph fixed-point one-best oracle (tests/oracles);
 //   kbest_scratch / kbest_oracle
-//       worklist k-best derivation of the saturated graph vs the
-//       fixed-point oracle;
+//       the k-best engine on the saturated graph vs the fixed-point
+//       k-best oracle;
 //   pipeline_serial
 //       saturation from scratch, then a from-scratch k-best derivation.
 //
-// Every engine result is cross-checked against its oracle before timing
-// is reported.
+// At each model's root the engine's ranking is cross-checked against the
+// k-best oracle, and its head cost against the one-best oracle, before
+// timing is reported.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "egraph/Runner.h"
 #include "models/Models.h"
+#include "oracles/ReferenceExtract.h"
 #include "rewrites/Rules.h"
 
 using namespace shrinkray;
@@ -77,7 +79,7 @@ int main() {
   std::printf("== Extraction engine on Table 1 tail models ==\n");
   const AstSizeCost Cost;
   bool AllIdentical = true;
-  double WorklistTotal = 0.0, OracleTotal = 0.0;
+  double EngineTotal = 0.0, OracleTotal = 0.0;
 
   for (const char *Name : TailModels) {
     const BenchmarkModel M = modelByName(Name);
@@ -110,16 +112,10 @@ int main() {
     timeRow(Report, Name, "saturate_rest", RestTimer.seconds(),
             G.numClasses(), G.numNodes());
 
-    WallTimer OneTimer;
-    Extractor OneBest(G, Cost);
-    double OneSec = timeRow(Report, Name, "onebest_worklist",
-                            OneTimer.seconds(), G.numClasses(), G.numNodes());
-
     WallTimer OneOracleTimer;
     ReferenceExtractor OneOracle(G, Cost);
-    double OneOracleSec =
-        timeRow(Report, Name, "onebest_oracle", OneOracleTimer.seconds(),
-                G.numClasses(), G.numNodes());
+    timeRow(Report, Name, "onebest_oracle", OneOracleTimer.seconds(),
+            G.numClasses(), G.numNodes());
 
     WallTimer KScratchTimer;
     KBestExtractor KScratch(G, Cost, TopK);
@@ -133,19 +129,18 @@ int main() {
         timeRow(Report, Name, "kbest_oracle", KOracleTimer.seconds(),
                 G.numClasses(), G.numNodes());
 
-    WorklistTotal += OneSec + KSec;
-    OracleTotal += OneOracleSec + KOracleSec;
+    EngineTotal += KSec;
+    OracleTotal += KOracleSec;
 
-    // Cross-checks: scratch == oracle at the root; one-best engines agree
-    // on cost and term.
-    bool Identical =
-        sameRanking(KScratch.extract(Root), KOracle.extract(Root)) &&
-        OneBest.bestCost(Root) == OneOracle.bestCost(Root) &&
-        termEquals(OneBest.extract(Root), OneOracle.extract(Root));
+    // Cross-checks at the root: the engine's ranking equals the k-best
+    // oracle's, and its head costs what the one-best oracle found.
+    const std::vector<RankedTerm> Ranked = KScratch.extract(Root);
+    bool Identical = sameRanking(Ranked, KOracle.extract(Root)) &&
+                     !Ranked.empty() &&
+                     OneOracle.bestCost(Root) == Ranked.front().Cost;
     if (!Identical)
       std::printf("  !! engine/oracle DISAGREE on %s\n", Name);
     AllIdentical &= Identical;
-
   }
 
   // The whole pipeline tail on one thread: full saturation from scratch,
@@ -182,14 +177,14 @@ int main() {
                 Rep.ApplySec, ExtractSec);
   }
 
-  std::printf("\nworklist total %.4f s vs oracle total %.4f s (%.1fx)\n",
-              WorklistTotal, OracleTotal,
-              WorklistTotal > 0 ? OracleTotal / WorklistTotal : 0.0);
+  std::printf("\nk-best engine total %.4f s vs oracle total %.4f s (%.1fx)\n",
+              EngineTotal, OracleTotal,
+              EngineTotal > 0 ? OracleTotal / EngineTotal : 0.0);
   Report.top()
       .add("models", sizeof(TailModels) / sizeof(TailModels[0]))
       .add("top_k", TopK)
-      .add("worklist_total_sec", WorklistTotal)
-      .add("oracle_total_sec", OracleTotal)
+      .add("kbest_total_sec", EngineTotal)
+      .add("kbest_oracle_total_sec", OracleTotal)
       .add("identical_to_oracle", AllIdentical);
   return Report.write() && AllIdentical ? 0 : 1;
 }

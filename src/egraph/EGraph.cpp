@@ -210,37 +210,6 @@ const std::vector<EClassId> &EGraph::classesWithOp(const Op &O) const {
   return Ids;
 }
 
-const std::vector<std::pair<ENode, EClassId>> &
-EGraph::canonicalParents(EClassId Id) const {
-  assert(!isDirty() && "parent query on an unrebuilt graph");
-  // Compact in place: canonicalize each entry and drop duplicates, keeping
-  // first-occurrence order (deterministic given the append order). On a
-  // clean graph the memo holds canonical forms, so rewriting an entry to
-  // its canonical form is exactly what the next repair() would do anyway.
-  // A generation stamp skips recompaction while the graph is unchanged
-  // (extraction queries each class's parents once per cost improvement).
-  EClass &C = *Classes[UF.find(Id)];
-  std::vector<std::pair<ENode, EClassId>> &Ps = C.Parents;
-  if (C.ParentsCompactedGen == Gen)
-    return Ps;
-  C.ParentsCompactedGen = Gen;
-  std::unordered_map<ENode, EClassId, ENodeHash> Seen;
-  size_t Keep = 0;
-  for (auto &[PNode, PClass] : Ps) {
-    ENode Canon = canonicalize(PNode);
-    EClassId PCanon = UF.find(PClass);
-    auto [It, Inserted] = Seen.emplace(Canon, PCanon);
-    if (!Inserted) {
-      assert(It->second == PCanon &&
-             "congruent parents in distinct classes on a clean graph");
-      continue;
-    }
-    Ps[Keep++] = {std::move(Canon), PCanon};
-  }
-  Ps.erase(Ps.begin() + static_cast<std::ptrdiff_t>(Keep), Ps.end());
-  return Ps;
-}
-
 std::vector<EClassId> EGraph::takeDirtySince(uint64_t Since) const {
   assert(!isDirty() && "dirty query on an unrebuilt graph");
   // A cursor behind the compaction floor can no longer be answered from
@@ -510,8 +479,8 @@ std::string EGraph::checkInvariants() const {
   // (check 3: its canonical form is a live e-node of the recorded parent
   // class that still references the child it is stored under — entries
   // may be stale forms, but canonicalization must repair them; this is
-  // what canonicalParents() and the extraction engine's cost propagation
-  // rely on), and indexes it per child class. Check 2 — every child of
+  // what takeDirtySince() and the k-best engine's parent walk rely on),
+  // and indexes it per child class. Check 2 — every child of
   // every node has a matching parent entry — is then a hash lookup per
   // edge. (The naive form rescanned the child's whole parent list per
   // edge, which is quadratic on parent-heavy classes: a restored

@@ -13,20 +13,19 @@
 /// same numeric constant knows that constant, which the affine-collapsing
 /// rewrites and the arithmetic function solvers rely on.
 ///
-/// Three structures support the indexed, incremental e-matching and
-/// extraction engines (egg's classes_by_op / E-morphic's operator
-/// indexing):
+/// Two structures support the indexed, incremental e-matching engine
+/// (egg's classes_by_op / E-morphic's operator indexing):
 ///
 ///  * an operator-head index mapping each Op to the canonical classes
-///    containing an e-node with that head (classesWithOp()),
+///    containing an e-node with that head (classesWithOp()), and
 ///  * a generation counter stamping every class-touching mutation, so the
 ///    Runner can restrict a rule's search to classes in which a new match
-///    could have appeared since the rule last searched (takeDirtySince()),
-///    and
-///  * a merge-stable parent index: each class records the (e-node, class)
-///    pairs that reference it, compacted lazily by canonicalParents(), so
-///    cost improvements propagate bottom-up along exactly the edges that
-///    can observe them (egg's extraction-as-analysis pattern).
+///    could have appeared since the rule last searched (takeDirtySince()).
+///
+/// Each class also records the (e-node, class) pairs that reference it
+/// (EClass::Parents). Rebuilding needs them for congruence repair; the
+/// dirty closure and the k-best extractor walk them upward, canonicalizing
+/// each entry with find() as they read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,12 +60,9 @@ struct EClass {
   EClassId Id = 0;
   std::vector<ENode> Nodes;
   /// (parent e-node, class containing it) pairs; forms may be stale between
-  /// rebuilds and are re-canonicalized during repair.
+  /// rebuilds and are re-canonicalized during repair. Readers resolve each
+  /// entry through find(); an entry may repeat a parent class.
   std::vector<std::pair<ENode, EClassId>> Parents;
-  /// Graph generation as of the last canonicalParents() compaction; when it
-  /// still matches, the Parents list is known-canonical and compaction is
-  /// skipped. 0 = never compacted.
-  uint64_t ParentsCompactedGen = 0;
   AnalysisData Data;
 };
 
@@ -161,17 +157,6 @@ public:
   /// Number of entries currently held by the touch log (tests assert
   /// bounded growth across long sessions).
   size_t dirtyLogSize() const { return DirtyLog.size(); }
-
-  /// The parent index of \p Id: (parent e-node, class containing it) pairs
-  /// for every e-node that has \p Id among its children, canonicalized and
-  /// deduplicated. Like classesWithOp(), the underlying storage is
-  /// merge-stable (a merge concatenates the loser's entries onto the
-  /// winner; stale forms still canonicalize truthfully) and is compacted
-  /// in place on access, so the amortized cost is proportional to churn,
-  /// not to repeated queries. Requires a clean graph; the returned
-  /// reference is valid until the next graph mutation.
-  const std::vector<std::pair<ENode, EClassId>> &
-  canonicalParents(EClassId Id) const;
 
   /// Canonicalizes an e-node's children.
   ENode canonicalize(const ENode &Node) const;

@@ -1,479 +1,68 @@
 //===-- egraph/Extract.cpp - Cost-based extraction ------------------------===//
 //
-// Two engines per problem (one-best, k-best): a worklist engine that
-// propagates cost derivations upward along the e-graph's parent index, and
-// a whole-graph fixed-point oracle used by the differential tests. The
-// engines share the deterministic tie-break (and, for k-best, the per-class
-// lazy combination), so on any graph they produce bit-identical results;
-// they differ in *scheduling*, which is where worklist bugs would live.
+// The one extraction engine: a one-best cost sweep that orders the work,
+// then wave-scheduled k-best recombination over a flat row store. The
+// whole-graph fixed-point oracles the tests compare it with live in
+// tests/oracles.
 //
 //===----------------------------------------------------------------------===//
 
 #include "egraph/Extract.h"
 
 #include <cassert>
+#include <limits>
 #include <queue>
 
 using namespace shrinkray;
 
-//===----------------------------------------------------------------------===//
-// Shared helpers: deterministic orders, node costing, lazy k-best combine
-//===----------------------------------------------------------------------===//
-
 namespace {
 
-/// Three-way total order on operators (kind, then payload). Symbol payloads
-/// compare by spelling so the order does not depend on interning order.
-int opCompare(const Op &A, const Op &B) {
-  if (A.kind() != B.kind())
-    return A.kind() < B.kind() ? -1 : 1;
-  switch (A.kind()) {
-  case OpKind::Int:
-    if (A.intValue() != B.intValue())
-      return A.intValue() < B.intValue() ? -1 : 1;
-    return 0;
-  case OpKind::Float:
-    if (A.floatValue() != B.floatValue())
-      return A.floatValue() < B.floatValue() ? -1 : 1;
-    return 0;
-  case OpKind::Var:
-  case OpKind::External:
-  case OpKind::OpRef:
-  case OpKind::PatVar:
-    return A.symbol().str().compare(B.symbol().str());
-  default:
-    return 0;
-  }
-}
-
-/// Three-way total order on e-nodes under the current union-find: operator,
-/// then arity, then canonical child ids left to right. Distinct canonical
-/// nodes never compare equal, so using this to break cost ties makes the
-/// extraction fixpoint unique — the property the differential tests pin.
-int enodeCompare(const EGraph &G, const ENode &A, const ENode &B) {
-  if (int C = opCompare(A.Operator, B.Operator))
-    return C;
-  if (A.Children.size() != B.Children.size())
-    return A.Children.size() < B.Children.size() ? -1 : 1;
-  for (size_t I = 0; I < A.Children.size(); ++I) {
-    EClassId CA = G.find(A.Children[I]), CB = G.find(B.Children[I]);
-    if (CA != CB)
-      return CA < CB ? -1 : 1;
-  }
-  return 0;
-}
-
-/// Sentinel for "no finite-cost term derived yet" in the worklist
-/// engine's dense cost table. Cost functions are finite by contract
-/// (monotone sums/maxes of finite leaf costs), so infinity never denotes
-/// a real cost.
+/// Sentinel for "no finite-cost term" in the one-best cost table. Cost
+/// functions are finite by contract (monotone sums/maxes of finite leaf
+/// costs), so infinity never denotes a real cost.
 constexpr double UnsetCost = std::numeric_limits<double>::infinity();
 
-/// Cost-table lookup, overloaded so nodeCost serves both engines: the
-/// worklist engine keys a dense vector by class id (the hashed map's
-/// find() was a measurable slice of extraction profiles), the reference
-/// oracle keeps the map.
-inline const double *findCost(const std::vector<double> &Costs, EClassId Id) {
-  return Id < Costs.size() && Costs[Id] < UnsetCost ? &Costs[Id] : nullptr;
-}
-inline const double *findCost(const std::unordered_map<EClassId, double> &Costs,
-                              EClassId Id) {
-  auto It = Costs.find(Id);
-  return It == Costs.end() ? nullptr : &It->second;
-}
-
-/// Cost of \p Node given the per-class cost table, or nullopt while any
-/// child is still unextractable. Children are resolved through find(), so
-/// stale node forms cost correctly. \p Kids is caller-owned scratch —
-/// relaxation calls this once per (class, node) visit, and a fresh
-/// allocation per call dominated the one-best derivation profile.
-template <typename CostTable>
-std::optional<double> nodeCost(const EGraph &G, const CostFn &Fn,
-                               const CostTable &Costs, const ENode &Node,
-                               std::vector<double> &Kids) {
-  Kids.clear();
-  for (EClassId Kid : Node.Children) {
-    const double *C = findCost(Costs, G.find(Kid));
-    if (!C)
-      return std::nullopt;
-    Kids.push_back(*C);
-  }
-  return Fn.cost(Node.Operator, Kids);
-}
-
-using KTable = std::unordered_map<EClassId, std::vector<ExtractCandidate>>;
-
-/// The candidate list of \p Id, or nullptr while the class has none.
-const std::vector<ExtractCandidate> *candList(const KTable &Table,
-                                              const EGraph &G, EClassId Id) {
-  auto It = Table.find(G.find(Id));
-  if (It == Table.end() || It->second.empty())
-    return nullptr;
-  return &It->second;
-}
-
-/// Recomputes the up-to-k cheapest distinct candidates of class \p Id from
-/// its children's current candidate lists: one best-first frontier heap
-/// over *all* the class's e-nodes ("cube pruning" / lazy k-shortest paths),
-/// popping combinations in ascending (cost, node index, combination index)
-/// order and deduplicating by value hash, so the k-th distinct program is
-/// found after O(k) pops plus duplicates instead of materializing k
-/// candidates per node and merging. Deterministic: the heap order is a
-/// total order, so ties resolve identically regardless of caller.
-///
-/// This is the *oracle's* term-materializing combine; the worklist engine
-/// runs the row-based KBestExtractor::combineClass, which shares the heap
-/// order and dedup semantics but allocates no terms — the differential
-/// tests pin the two against each other.
-std::vector<ExtractCandidate> combineClass(const EGraph &G, const CostFn &Fn,
-                                           size_t K, EClassId Id,
-                                           const KTable &Table) {
-  const std::vector<ENode> &Nodes = G.eclass(Id).Nodes;
-
-  // Resolved child candidate lists, flattened across nodes; a node with a
-  // candidate-less child stays unusable this round (Arity == NotUsable).
-  constexpr size_t NotUsable = static_cast<size_t>(-1);
-  std::vector<const std::vector<ExtractCandidate> *> ChildLists;
-  std::vector<std::pair<size_t, size_t>> Span(Nodes.size()); // offset, arity
-  for (size_t N = 0; N < Nodes.size(); ++N) {
-    const ENode &Node = Nodes[N];
-    Span[N] = {ChildLists.size(), Node.Children.size()};
-    for (EClassId Kid : Node.Children) {
-      const std::vector<ExtractCandidate> *L = candList(Table, G, Kid);
-      if (!L) {
-        ChildLists.resize(Span[N].first);
-        Span[N].second = NotUsable;
-        break;
-      }
-      ChildLists.push_back(L);
-    }
-  }
-  auto kidCand = [&](size_t N, size_t I,
-                     const std::vector<size_t> &Ix) -> const ExtractCandidate & {
-    return (*ChildLists[Span[N].first + I])[Ix[I]];
-  };
-
-  std::vector<double> CostScratch;
-  auto comboCost = [&](size_t N, const std::vector<size_t> &Ix) {
-    CostScratch.resize(Ix.size());
-    for (size_t I = 0; I < Ix.size(); ++I)
-      CostScratch[I] = kidCand(N, I, Ix).Cost;
-    return Fn.cost(Nodes[N].Operator, CostScratch);
-  };
-
-  // Frontier items carry the position they last bumped; successors only
-  // bump positions >= Bump, which generates every combination exactly once
-  // (canonical non-decreasing bump order) without a visited set.
-  struct Item {
-    double Cost;
-    size_t NodeIdx;
-    size_t Bump;
-    std::vector<size_t> Ix;
-  };
-  auto Later = [](const Item &A, const Item &B) {
-    if (A.Cost != B.Cost)
-      return A.Cost > B.Cost;
-    if (A.NodeIdx != B.NodeIdx)
-      return A.NodeIdx > B.NodeIdx;
-    return A.Ix > B.Ix;
-  };
-  std::priority_queue<Item, std::vector<Item>, decltype(Later)> Frontier(
-      Later);
-  for (size_t N = 0; N < Nodes.size(); ++N) {
-    if (Span[N].second == NotUsable)
-      continue;
-    std::vector<size_t> First(Span[N].second, 0);
-    double Cost = comboCost(N, First);
-    Frontier.push({Cost, N, 0, std::move(First)});
-  }
-
-  // A popped combination equals an accepted candidate iff the operator and
-  // the child candidate terms match under value equality — checkable
-  // without materializing the term, so duplicates cost no allocation. The
-  // hash prefilter keeps the scan to (expected) zero term comparisons.
-  auto isDupOf = [&](const ExtractCandidate &U, const Op &O, size_t N,
-                     const std::vector<size_t> &Ix) {
-    const Term &B = *U.T;
-    bool ONum = O.kind() == OpKind::Int || O.kind() == OpKind::Float;
-    bool BNum = B.kind() == OpKind::Int || B.kind() == OpKind::Float;
-    if (ONum || BNum)
-      return ONum && BNum && O.numericValue() == B.op().numericValue();
-    if (O != B.op() || B.numChildren() != Ix.size())
-      return false;
-    for (size_t I = 0; I < Ix.size(); ++I)
-      if (!termApproxEquals(kidCand(N, I, Ix).T, B.child(I), 0.0))
-        return false;
-    return true;
-  };
-
-  // The class's previous candidate list: in the fixed point's steady
-  // state this pass re-derives exactly these candidates, so a 5-element
-  // pointer-equality scan answers most term constructions without
-  // touching the interner at all.
-  const std::vector<ExtractCandidate> *Prev = nullptr;
-  if (auto PrevIt = Table.find(Id); PrevIt != Table.end())
-    Prev = &PrevIt->second;
-
-  std::vector<ExtractCandidate> Out;
-  std::vector<size_t> KidHashes;
-  std::vector<const Term *> RawKids;
-  while (!Frontier.empty() && Out.size() < K) {
-    Item Top = Frontier.top();
-    Frontier.pop();
-    const ENode &Node = Nodes[Top.NodeIdx];
-    const size_t Arity = Top.Ix.size();
-
-    // O(arity): child candidates carry their value hashes already.
-    KidHashes.resize(Arity);
-    for (size_t I = 0; I < Arity; ++I)
-      KidHashes[I] = kidCand(Top.NodeIdx, I, Top.Ix).ValueHash;
-    size_t Hash = termValueHashNode(Node.Operator, KidHashes);
-    bool Dup = false;
-    for (const ExtractCandidate &U : Out)
-      if (U.ValueHash == Hash &&
-          isDupOf(U, Node.Operator, Top.NodeIdx, Top.Ix)) {
-        Dup = true;
-        break;
-      }
-    if (!Dup) {
-      // Fixed-point passes re-derive the same candidates over and over;
-      // resolve the term against last pass's list (structural identity:
-      // same operator, pointer-equal children), then the interner's
-      // lock-guarded probe, and only build a child vector when the term
-      // really is new. The steady state allocates nothing.
-      TermPtr T;
-      if (Prev)
-        for (const ExtractCandidate &P : *Prev) {
-          const Term &PT = *P.T;
-          if (P.ValueHash != Hash || PT.op() != Node.Operator ||
-              PT.numChildren() != Arity)
-            continue;
-          bool Same = true;
-          for (size_t I = 0; I < Arity; ++I)
-            if (PT.child(I).get() != kidCand(Top.NodeIdx, I, Top.Ix).T.get()) {
-              Same = false;
-              break;
-            }
-          if (Same) {
-            T = P.T;
+/// One-best cost of every class, indexed by class id: sweeps all classes
+/// until no cost improves. Every stored cost is the cost of a real term and
+/// only ever decreases, so the sweep ends at the least fixpoint whatever
+/// the visiting order (2-8 passes on saturated graphs, the last confirming
+/// nothing changed). A non-finite node cost never beats UnsetCost, so a
+/// degenerate cost function leaves its classes unextractable.
+std::vector<double> oneBestCosts(const EGraph &G, const CostFn &Fn) {
+  std::vector<double> Costs(G.numIds(), UnsetCost);
+  const std::vector<EClassId> Ids = G.classIds();
+  std::vector<double> Kids;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (EClassId Id : Ids)
+      for (const ENode &Node : G.eclass(Id).Nodes) {
+        Kids.clear();
+        for (EClassId Kid : Node.Children) {
+          const double C = Costs[G.find(Kid)];
+          if (!(C < UnsetCost))
             break;
-          }
+          Kids.push_back(C);
         }
-      if (!T) {
-        RawKids.resize(Arity);
-        for (size_t I = 0; I < Arity; ++I)
-          RawKids[I] = kidCand(Top.NodeIdx, I, Top.Ix).T.get();
-        T = lookupTerm(Node.Operator, RawKids.data(), Arity);
+        if (Kids.size() != Node.Children.size())
+          continue;
+        const double C = Fn.cost(Node.Operator, Kids);
+        if (C < Costs[Id]) {
+          Costs[Id] = C;
+          Changed = true;
+        }
       }
-      if (!T) {
-        std::vector<TermPtr> Kids(Arity);
-        for (size_t I = 0; I < Arity; ++I)
-          Kids[I] = kidCand(Top.NodeIdx, I, Top.Ix).T;
-        T = makeTerm(Node.Operator, std::move(Kids));
-      }
-      Out.push_back({Top.Cost, std::move(T), Hash});
-    }
-
-    // Expand successors: bump one child index at a time, never before the
-    // position this item bumped.
-    for (size_t I = Top.Bump; I < Arity; ++I) {
-      if (Top.Ix[I] + 1 >= ChildLists[Span[Top.NodeIdx].first + I]->size())
-        continue;
-      std::vector<size_t> Next = Top.Ix;
-      ++Next[I];
-      Frontier.push({comboCost(Top.NodeIdx, Next), Top.NodeIdx, I,
-                     std::move(Next)});
-    }
   }
-  return Out;
-}
-
-/// Exact equality of candidate lists (cost, hash, then term structure).
-bool listsEqual(const std::vector<ExtractCandidate> &A,
-                const std::vector<ExtractCandidate> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I)
-    if (A[I].Cost != B[I].Cost || A[I].ValueHash != B[I].ValueHash ||
-        !termEquals(A[I].T, B[I].T))
-      return false;
-  return true;
-}
-
-/// Shared build of the chosen-term tree from a choice table.
-TermPtr buildFromChoices(
-    const EGraph &G, const std::unordered_map<EClassId, ENode> &Choices,
-    std::unordered_map<EClassId, TermPtr> &Memo, EClassId Id) {
-  Id = G.find(Id);
-  auto Hit = Memo.find(Id);
-  if (Hit != Memo.end())
-    return Hit->second;
-  auto It = Choices.find(Id);
-  assert(It != Choices.end() && "extracting from a class with no finite cost");
-  const ENode &Node = It->second;
-  std::vector<TermPtr> Kids;
-  Kids.reserve(Node.Children.size());
-  for (EClassId Kid : Node.Children)
-    Kids.push_back(buildFromChoices(G, Choices, Memo, Kid));
-  TermPtr T = makeTerm(Node.Operator, std::move(Kids));
-  Memo.emplace(Id, T);
-  return T;
+  return Costs;
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// One-best extraction: worklist engine
-//===----------------------------------------------------------------------===//
-
-Extractor::Extractor(const EGraph &G, const CostFn &Fn) : G(G), Fn(Fn) {
-  assert(!G.isDirty() && "extraction on a dirty e-graph");
-  derive();
-}
-
-bool Extractor::relax(EClassId Id, const ENode &Node) {
-  std::optional<double> C = nodeCost(G, Fn, Costs, Node, KidCostScratch);
-  // A non-finite candidate cost (a degenerate cost function) cannot beat
-  // or tie the UnsetCost sentinel meaningfully; treat it as unextractable.
-  if (!C || !(*C < UnsetCost))
-    return false;
-  double &Slot = Costs[Id];
-  bool Absent = !(Slot < UnsetCost);
-  bool Better = Absent || *C < Slot;
-  if (!Better && *C == Slot) {
-    // Equal cost: adopt the candidate only if it is the smaller e-node, so
-    // the final choice is the unique (cost, node) minimum. Stored forms may
-    // be stale; enodeCompare resolves children through find().
-    if (enodeCompare(G, Node, Choices.at(Id)) < 0) {
-      Choices.insert_or_assign(Id, Node);
-      return true;
-    }
-    return false;
-  }
-  if (!Better)
-    return false;
-  Slot = *C;
-  Choices.insert_or_assign(Id, Node);
-  return true;
-}
-
-void Extractor::derive() {
-  Costs.assign(G.numIds(), UnsetCost);
-  std::vector<EClassId> WL;
-  // Dense membership bytes (indexed by class id): the worklist churns
-  // through every cost improvement, and a hashed set here showed up in
-  // the derivation profile.
-  std::vector<uint8_t> InWL(G.numIds(), 0);
-  auto push = [&](EClassId Id) {
-    if (!InWL[Id]) {
-      InWL[Id] = 1;
-      WL.push_back(Id);
-    }
-  };
-
-  // Cost every class from its full node set, then propagate improvements
-  // upward: a cost change at a class can only be observed by the e-nodes
-  // that reference it, i.e. its parent index.
-  for (EClassId Id : G.classIds()) {
-    bool Improved = false;
-    for (const ENode &Node : G.eclass(Id).Nodes)
-      Improved = relax(Id, Node) || Improved;
-    if (Improved)
-      push(Id);
-  }
-  while (!WL.empty()) {
-    EClassId Id = WL.back();
-    WL.pop_back();
-    InWL[Id] = 0;
-    for (const auto &[PNode, PClass] : G.canonicalParents(Id))
-      if (relax(PClass, PNode))
-        push(PClass);
-  }
-}
-
-std::optional<double> Extractor::bestCost(EClassId Id) const {
-  const double *C = findCost(Costs, G.find(Id));
-  if (!C)
-    return std::nullopt;
-  return *C;
-}
-
-TermPtr Extractor::extract(EClassId Id) const { return build(G.find(Id)); }
-
-const ENode *Extractor::choiceNode(EClassId Id) const {
-  auto It = Choices.find(G.find(Id));
-  return It == Choices.end() ? nullptr : &It->second;
-}
-
-TermPtr Extractor::build(EClassId Id) const {
-  return buildFromChoices(G, Choices, BuildMemo, Id);
-}
-
-//===----------------------------------------------------------------------===//
-// One-best extraction: fixed-point oracle
-//===----------------------------------------------------------------------===//
-
-ReferenceExtractor::ReferenceExtractor(const EGraph &G, const CostFn &Fn)
-    : G(G) {
-  assert(!G.isDirty() && "extraction on a dirty e-graph");
-  // Fixpoint: (cost, choice) pairs only decrease and are bounded below, so
-  // this terminates. Same tie-break as the worklist engine, so the unique
-  // fixpoint — and therefore every extracted term — is bit-identical.
-  bool Changed = true;
-  std::vector<double> KidScratch;
-  while (Changed) {
-    Changed = false;
-    for (EClassId Id : G.classIds()) {
-      for (const ENode &Node : G.eclass(Id).Nodes) {
-        std::optional<double> C = nodeCost(G, Fn, Costs, Node, KidScratch);
-        if (!C)
-          continue;
-        auto It = Costs.find(Id);
-        bool Better = It == Costs.end() || *C < It->second;
-        if (!Better && *C == It->second) {
-          ENode Canon = G.canonicalize(Node);
-          if (enodeCompare(G, Canon, Choices.at(Id)) < 0) {
-            Choices.insert_or_assign(Id, std::move(Canon));
-            Changed = true;
-          }
-          continue;
-        }
-        if (!Better)
-          continue;
-        Costs[Id] = *C;
-        Choices.insert_or_assign(Id, G.canonicalize(Node));
-        Changed = true;
-      }
-    }
-  }
-}
-
-std::optional<double> ReferenceExtractor::bestCost(EClassId Id) const {
-  auto It = Costs.find(G.find(Id));
-  if (It == Costs.end())
-    return std::nullopt;
-  return It->second;
-}
-
-TermPtr ReferenceExtractor::extract(EClassId Id) const {
-  return build(G.find(Id));
-}
-
-const ENode *ReferenceExtractor::choiceNode(EClassId Id) const {
-  auto It = Choices.find(G.find(Id));
-  return It == Choices.end() ? nullptr : &It->second;
-}
-
-TermPtr ReferenceExtractor::build(EClassId Id) const {
-  return buildFromChoices(G, Choices, BuildMemo, Id);
-}
-
-//===----------------------------------------------------------------------===//
-// Top-k extraction: worklist engine
+// Top-k extraction
 //===----------------------------------------------------------------------===//
 
 KBestExtractor::KBestExtractor(const EGraph &G, const CostFn &Fn, size_t K)
-    : G(G), Fn(Fn), K(K), OneBest(G, Fn) {
+    : G(G), Fn(Fn), K(K), OneBestCosts(oneBestCosts(G, Fn)) {
   assert(!G.isDirty() && "extraction on a dirty e-graph");
   assert(K >= 1 && "k must be positive");
   derive();
@@ -515,11 +104,11 @@ void KBestExtractor::derive() {
   auto enqueue = [&](EClassId Id) {
     Id = G.find(Id);
     // no finite cost => can never have candidates
-    if (std::optional<double> C = OneBest.bestCost(Id)) {
+    if (const double C = OneBestCosts[Id]; C < UnsetCost) {
       if (!Pending[Id]) {
         Pending[Id] = 1;
         ++NumPending;
-        CheapestPending.emplace(*C, Id);
+        CheapestPending.emplace(C, Id);
       }
       // Unconditional: a re-enqueue is a readiness event even when the
       // class never left the pending set (its children may have).
@@ -545,8 +134,8 @@ void KBestExtractor::derive() {
   // rather than looked up per comparison.
   std::vector<std::pair<double, EClassId>> Wave;
   std::vector<CandRef> NewList;
-  // Mirrors the serial engine's pop cap — sheer paranoia for graphs
-  // where k-truncation feedback through cycles could oscillate.
+  // A cap on recombinations — sheer paranoia for graphs where
+  // k-truncation feedback through cycles could oscillate.
   size_t CombinesLeft = (4 * G.numClasses() + 8) * (K + 2);
   while (NumPending != 0) {
     Wave.clear();
@@ -554,13 +143,13 @@ void KBestExtractor::derive() {
     Recheck.erase(std::unique(Recheck.begin(), Recheck.end()), Recheck.end());
     for (EClassId Id : Recheck)
       if (Pending[Id] && isReady(Id))
-        Wave.emplace_back(*OneBest.bestCost(Id), Id);
+        Wave.emplace_back(OneBestCosts[Id], Id);
     Recheck.clear();
     if (Wave.empty()) {
       // Every pending class sits on a cycle (a blocked class always has a
       // pending child, so nothing outside Recheck can be ready): fall
-      // back to the single cheapest member — exactly what the serial
-      // queue would pop next. Its wave-mates stay blocked until it
+      // back to the single cheapest member, the (cost, id) minimum of
+      // Pending. Its wave-mates stay blocked until it
       // commits, so they re-enter through the recheck of its parents.
       // The heap cannot run dry here: every pending class has a live
       // entry, and Pending is non-empty.
@@ -570,7 +159,7 @@ void KBestExtractor::derive() {
       CheapestPending.pop();
       // The fallback pick consumed the round's recheck knowledge; rebuild
       // it for the next round from the classes its commit will unblock
-      // (handled below via canonicalParents) — nothing extra needed here.
+      // (handled below by the parent walk) — nothing extra needed here.
     } else {
       std::sort(Wave.begin(), Wave.end());
     }
@@ -584,11 +173,12 @@ void KBestExtractor::derive() {
     // Recombine and commit in wave order. Members leave the pending set
     // first so a changed wave-mate that references them can re-enqueue
     // them for the next round; a changed list is observable only through
-    // referencing e-nodes (the parent index, self-loops included). Every
-    // committed class rechecks its still-pending parents — that, plus
-    // re-enqueues, is the complete set of readiness transitions. No member
-    // is a child of another (a ready class has no pending child), so each
-    // recombination reads the table as the wave found it.
+    // referencing e-nodes (the class's parent entries, self-loops
+    // included). Every committed class rechecks its still-pending parents
+    // — that, plus re-enqueues, is the complete set of readiness
+    // transitions. No member is a child of another (a ready class has no
+    // pending child), so each recombination reads the table as the wave
+    // found it.
     for (const auto &[Cost, Id] : Wave) {
       (void)Cost;
       Pending[Id] = 0;
@@ -605,7 +195,10 @@ void KBestExtractor::derive() {
                   Slot[C].Row != NewList[C].Row;
       if (Changed)
         Slot = NewList; // a copy: NewList keeps its capacity for reuse
-      for (const auto &[PNode, PClass] : G.canonicalParents(Id)) {
+      // The raw parent entries may be stale or repeat a class: find()
+      // canonicalizes each, the Pending bytes ignore a second enqueue,
+      // and Recheck is sorted and de-duplicated before the next round.
+      for (const auto &[PNode, PClass] : G.eclass(Id).Parents) {
         (void)PNode;
         EClassId P = G.find(PClass);
         if (Changed)
@@ -893,57 +486,4 @@ void KBestExtractor::combineClass(EClassId Id, std::vector<CandRef> &Out) {
                      static_cast<uint32_t>(Arity)});
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Top-k extraction: fixed-point oracle
-//===----------------------------------------------------------------------===//
-
-ReferenceKBestExtractor::ReferenceKBestExtractor(const EGraph &G,
-                                                 const CostFn &Fn, size_t K)
-    : G(G), Fn(Fn), K(K) {
-  assert(!G.isDirty() && "extraction on a dirty e-graph");
-  assert(K >= 1 && "k must be positive");
-  // Process classes in ascending one-best-cost order: under a monotone cost
-  // function a node's children are cheaper than the node, so a single
-  // ordered pass almost always reaches the fixpoint and the loop below
-  // exits after the confirming pass.
-  ReferenceExtractor OneBest(G, Fn);
-  ClassOrder = G.classIds();
-  std::stable_sort(ClassOrder.begin(), ClassOrder.end(),
-                   [&](EClassId A, EClassId B) {
-                     double CA = OneBest.bestCost(A).value_or(1e308);
-                     double CB = OneBest.bestCost(B).value_or(1e308);
-                     return CA < CB;
-                   });
-  // Candidate sets only improve (costs shrink or new distinct cheap terms
-  // appear) and are bounded, so this terminates; the pass cap is sheer
-  // paranoia for pathological graphs.
-  const size_t MaxPasses = 4 * G.numClasses() + 8;
-  for (size_t Pass = 0; Pass < MaxPasses; ++Pass)
-    if (!this->pass())
-      break;
-}
-
-bool ReferenceKBestExtractor::pass() {
-  bool Changed = false;
-  for (EClassId Id : ClassOrder) {
-    std::vector<ExtractCandidate> New = combineClass(G, Fn, K, Id, Table);
-    std::vector<ExtractCandidate> &Slot = Table[Id];
-    if (listsEqual(Slot, New))
-      continue;
-    Slot = std::move(New);
-    Changed = true;
-  }
-  return Changed;
-}
-
-std::vector<RankedTerm> ReferenceKBestExtractor::extract(EClassId Id) const {
-  std::vector<RankedTerm> Out;
-  auto It = Table.find(G.find(Id));
-  if (It == Table.end())
-    return Out;
-  for (const ExtractCandidate &C : It->second)
-    Out.push_back({C.T, C.Cost});
-  return Out;
 }

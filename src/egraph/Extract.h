@@ -5,34 +5,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Extraction of the best (and top-k best) programs from a saturated e-graph
-/// under a user-supplied cost function (paper Sec. 5.1). Costs may depend
+/// Extraction of the top-k best programs from a saturated e-graph under a
+/// user-supplied cost function (paper Sec. 5.1). Costs may depend
 /// recursively on argument costs; both the default AST-size cost and the
 /// `reward-loops` variant from the evaluation live in synth/Cost.h.
 ///
-/// The engines are *worklist-driven* rather than whole-graph fixed points
-/// (egg treats extraction as a one-pass analysis propagated along parent
-/// edges; E-morphic bounds k-best state per class):
+/// `KBestExtractor` is the one extraction engine. It is one-shot:
+/// construction derives the whole table from the graph as it stands, and a
+/// mutated graph needs a fresh engine. The Synthesizer builds one after the
+/// solvers finish (paper Fig. 5 lines 8-9). A derivation has two steps:
 ///
-///  * `Extractor` seeds per-class one-best costs from leaf e-nodes and
-///    relaxes parent e-nodes through EGraph::canonicalParents until no
-///    (cost, choice) pair improves — work proportional to the number of
-///    cost improvements, not to (classes x passes).
-///  * `KBestExtractor` keeps, per class, a bounded list of up to k distinct
-///    candidate programs and recomputes a class only when a child's list
+///  * a cost sweep: every class's one-best cost, from sweeping all classes
+///    until no cost improves (egg's bottom-up extraction pass). The table
+///    holds costs only; it orders the k-best waves and marks the classes
+///    that can never have a candidate.
+///  * wave-scheduled recombination: per class, a bounded list of up to k
+///    distinct candidate programs, recomputed only when a child's list
 ///    changed, enumerating child-candidate combinations lazily through a
 ///    best-first frontier heap (k-shortest-paths style "cube pruning").
-///  * Both engines are one-shot: construction derives the whole table from
-///    the graph as it stands, and a mutated graph needs a fresh engine. The
-///    Synthesizer builds one after the solvers finish (paper Fig. 5 lines
-///    8-9).
+///    A changed list reaches the classes above it through the raw
+///    EClass::Parents entries, canonicalized with find() as they are read.
 ///
-/// Cost ties are broken deterministically (smallest e-node under a fixed
-/// total order wins), which makes extraction a pure function of the graph:
-/// the worklist engines are bit-identical to the `ReferenceExtractor` /
-/// `ReferenceKBestExtractor` fixed-point oracles kept below for
-/// differential testing (the `matchClassReference` pattern from the
-/// e-matching engine).
+/// Ties are broken by a fixed total order, so extraction is a pure function
+/// of the graph. The whole-graph fixed-point oracles the tests hold the
+/// engine against live in tests/oracles.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +38,6 @@
 #include "egraph/EGraph.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
 
 namespace shrinkray {
@@ -84,82 +79,10 @@ public:
   }
 };
 
-/// One-best extraction: computes, per class, the cheapest representable
-/// term by worklist relaxation along the parent index. Construction runs
-/// the whole derivation on a clean graph; the engine must not outlive the
-/// graph, and a graph mutated after construction needs a fresh engine.
-class Extractor {
-public:
-  Extractor(const EGraph &G, const CostFn &Fn);
-
-  /// Cheapest cost of any term in the class, if one is extractable.
-  std::optional<double> bestCost(EClassId Id) const;
-
-  /// The cheapest term of the class. Asserts that one exists.
-  TermPtr extract(EClassId Id) const;
-
-  /// The e-node the class extracts through, or nullptr when the class has
-  /// no finite cost. The stored form may be stale; canonicalize it before
-  /// comparing. Exposed for differential tests.
-  const ENode *choiceNode(EClassId Id) const;
-
-private:
-  const EGraph &G;
-  const CostFn &Fn;
-  // Dense cost table indexed by class id (+inf = no finite-cost term
-  // derived). nodeCost probes it once per (node, child), which made the
-  // hashed map's find() a measurable slice of extraction profiles.
-  std::vector<double> Costs;
-  std::unordered_map<EClassId, ENode> Choices;
-  mutable std::unordered_map<EClassId, TermPtr> BuildMemo;
-  /// Child-cost scratch reused across relax() calls (one allocation per
-  /// derivation instead of one per node visit).
-  std::vector<double> KidCostScratch;
-
-  /// Derives (cost, choice) for every class and propagates improvements
-  /// upward along canonicalParents to the unique fixpoint.
-  void derive();
-
-  /// Evaluates \p Node as a candidate for \p Id; returns true and updates
-  /// the tables when it improves the stored (cost, choice) pair.
-  bool relax(EClassId Id, const ENode &Node);
-
-  TermPtr build(EClassId Id) const;
-};
-
-/// One-best extraction oracle: the naive whole-graph fixed point (sweep all
-/// classes until nothing changes), kept verbatim as a differential-test
-/// oracle for Extractor. Applies the same deterministic tie-break, so its
-/// results are bit-identical to the worklist engine's.
-class ReferenceExtractor {
-public:
-  ReferenceExtractor(const EGraph &G, const CostFn &Fn);
-
-  std::optional<double> bestCost(EClassId Id) const;
-  TermPtr extract(EClassId Id) const;
-  const ENode *choiceNode(EClassId Id) const;
-
-private:
-  const EGraph &G;
-  std::unordered_map<EClassId, double> Costs;
-  std::unordered_map<EClassId, ENode> Choices;
-  mutable std::unordered_map<EClassId, TermPtr> BuildMemo;
-
-  TermPtr build(EClassId Id) const;
-};
-
 /// A term together with its extraction cost.
 struct RankedTerm {
   TermPtr T;
   double Cost;
-};
-
-/// A candidate program of one e-class: cost, term, and the term's
-/// value-level hash (termValueHash) used for O(1)-expected deduplication.
-struct ExtractCandidate {
-  double Cost = std::numeric_limits<double>::infinity();
-  TermPtr T;
-  size_t ValueHash = 0;
 };
 
 /// Top-k extraction: per class, the k cheapest *distinct* terms (paper
@@ -172,7 +95,8 @@ struct ExtractCandidate {
 /// order, and a class is revisited only when a child's candidate list
 /// changed. Each recombination enumerates candidates lazily through one
 /// bounded best-first heap over all the class's e-nodes, stopping at the
-/// k-th distinct program. One-shot, like Extractor.
+/// k-th distinct program. One-shot: a mutated graph needs a fresh engine,
+/// and the engine must not outlive the graph.
 ///
 /// Candidates live in a *flat row store*, not as materialized terms: a row
 /// is (operator, child row ids), hashconsed per engine, so a candidate in
@@ -207,7 +131,10 @@ private:
   const EGraph &G;
   const CostFn &Fn;
   size_t K;
-  Extractor OneBest; ///< processing priority
+  /// One-best cost per class id (+inf: no finite-cost term). Read only
+  /// for the (cost, id) wave order and to skip classes that can never
+  /// have candidates.
+  std::vector<double> OneBestCosts;
   std::unordered_map<EClassId, std::vector<CandRef>> Table;
   /// The row store: append-only, immutable once written, deduplicated
   /// through RowIndex so structurally equal candidates share one row id.
@@ -243,26 +170,6 @@ private:
   void combineClass(EClassId Id, std::vector<CandRef> &Out);
   /// Builds the term a row denotes (iterative, memoized in RowTerms).
   TermPtr materializeRow(uint32_t Row) const;
-};
-
-/// Top-k extraction oracle: whole-graph sweeps to a fixed point (the
-/// original pass() structure), sharing the per-class lazy combination and
-/// hashed deduplication with the worklist engine so the two differ only in
-/// scheduling — the part differential tests need to pin down.
-class ReferenceKBestExtractor {
-public:
-  ReferenceKBestExtractor(const EGraph &G, const CostFn &Fn, size_t K);
-
-  std::vector<RankedTerm> extract(EClassId Id) const;
-
-private:
-  const EGraph &G;
-  const CostFn &Fn;
-  size_t K;
-  std::vector<EClassId> ClassOrder; ///< ascending one-best cost
-  std::unordered_map<EClassId, std::vector<ExtractCandidate>> Table;
-
-  bool pass();
 };
 
 } // namespace shrinkray

@@ -17,7 +17,8 @@
 /// variables. An explicit-stack VM executes the program with zero per-match
 /// heap allocation, backtracking over Bind choice points. Whole-graph
 /// search seeds its candidate classes from the e-graph's operator-head
-/// index instead of scanning every class.
+/// index instead of scanning every class. The recursive matcher the VM
+/// replaced is a test oracle now (tests/oracles/ReferenceMatch.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -151,7 +152,7 @@ class MatchProgram {
 public:
   /// Compiles the pattern term \p Root (left-to-right depth-first, so
   /// matches are produced in the same order as the recursive reference
-  /// matcher).
+  /// matcher in tests/oracles).
   explicit MatchProgram(const TermPtr &Root);
 
   /// Runs the program rooted at \p Root, appending one Subst per match.
@@ -197,13 +198,6 @@ public:
 
   /// All matches of this pattern rooted at class \p Root (compiled VM).
   std::vector<Subst> matchClass(const EGraph &G, EClassId Root) const;
-
-  /// Reference implementation of matchClass: the recursive CPS
-  /// backtracking matcher the VM replaced. Kept for differential testing
-  /// (the engine's equivalence suite runs both on every rule); slower —
-  /// allocates a std::function continuation chain per node visited.
-  std::vector<Subst> matchClassReference(const EGraph &G,
-                                         EClassId Root) const;
 
   /// All matches anywhere in the graph: (root class, substitution) pairs.
   /// Candidate roots are seeded from the graph's operator-head index, so

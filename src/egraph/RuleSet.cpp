@@ -11,7 +11,8 @@ using namespace shrinkray;
 // Compilation: merge per-rule programs into shared-prefix tries
 //===----------------------------------------------------------------------===//
 
-RuleSet::RuleSet(const std::vector<Rewrite> &Rules) : Rules(Rules) {
+RuleSet::RuleSet(std::vector<Rewrite> Database)
+    : Rules(std::move(Database)) {
   RuleGroup.resize(Rules.size());
   for (size_t R = 0; R < Rules.size(); ++R) {
     const Op &Root = Rules[R].lhs().rootOp(); // asserts op-rooted

@@ -45,9 +45,8 @@
 
 namespace shrinkray {
 
-/// A rewrite-rule database compiled for multi-pattern search. Holds a
-/// reference to the rule vector it was compiled from; the caller keeps
-/// that vector alive (and unmodified) for the RuleSet's lifetime.
+/// A rewrite-rule database compiled for multi-pattern search. Owns the
+/// rules it was compiled from.
 class RuleSet {
 public:
   /// Hard cap on rules per root-operator group (candidate masks are a
@@ -94,9 +93,9 @@ public:
     }
   };
 
-  /// Compiles \p Rules. Every left-hand side must be rooted at a concrete
-  /// operator (true of the whole rule database; asserted).
-  explicit RuleSet(const std::vector<Rewrite> &Rules);
+  /// Compiles \p Database. Every left-hand side must be rooted at a
+  /// concrete operator (true of the whole rule database; asserted).
+  explicit RuleSet(std::vector<Rewrite> Database);
 
   const std::vector<Rewrite> &rules() const { return Rules; }
   size_t numRules() const { return Rules.size(); }
@@ -168,7 +167,7 @@ private:
     size_t UnmergedInstrs = 0;
   };
 
-  const std::vector<Rewrite> &Rules;
+  std::vector<Rewrite> Rules;
   std::vector<Group> Groups;      ///< first-occurrence order of root ops
   std::vector<uint32_t> RuleGroup; ///< rule index -> group index
 

@@ -421,14 +421,15 @@ void SynthesisService::runJob(Job &J) {
   // would permanently serve this machine's partial result to every
   // process sharing the cache. Iteration/node limits are deterministic
   // in (input, options) and stay cacheable.
-  if (Cfg.EnableCache && !Out.Result.Stats.WallClockTruncated)
+  const bool WallClockTruncated =
+      Out.Result.Stats.Rewriting.Stop == StopReason::TimeLimit;
+  if (Cfg.EnableCache && !WallClockTruncated)
     Cache.store(Key, Out.Result.Programs);
   // Park the warm-start capture in the snapshot tier. The Synthesizer
   // skips capture for non-deterministic stops and for warm runs whose
   // state equals the snapshot they restored, so Present already implies
   // "new, deterministic state worth keeping".
-  if (SnapshotTier && Out.Result.Snapshot.Present &&
-      !Out.Result.Stats.WallClockTruncated) {
+  if (SnapshotTier && Out.Result.Snapshot.Present && !WallClockTruncated) {
     SnapshotEntry E;
     E.InputHash = ExactHash;
     E.InputSexp = printSexp(Flat);

@@ -83,8 +83,7 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
 
   EGraph G;
 
-  const std::vector<Rewrite> Rules = pipelineRules();
-  const RuleSet CompiledRules(Rules); // keeps a reference to Rules
+  const RuleSet CompiledRules(pipelineRules());
 
   // --- Warm-start restore ------------------------------------------------
   // Bring the captured graph and saturation cursors back up *before*
@@ -214,8 +213,6 @@ SynthesisResult Synthesizer::synthesizeImpl(const TermPtr &FlatCsg,
       // feed the pre-solve snapshot capture below.
       Result.Stats.Rewriting = SaturationRunner.run(G, CompiledRules, Cursors);
     }
-    Result.Stats.WallClockTruncated =
-        Result.Stats.Rewriting.Stop == StopReason::TimeLimit;
     Result.Stats.RewriteSeconds =
         std::chrono::duration<double>(Clock::now() - RewriteStart).count();
     Result.Stats.RewriteSearchSeconds = Result.Stats.Rewriting.SearchSec;

@@ -73,11 +73,6 @@ struct SynthesisStats {
   /// well-formed, equivalent terms — just not necessarily the ones a full
   /// run would rank first).
   bool Cancelled = false;
-  /// True when the saturation round stopped on the runner's wall-clock
-  /// safety valve (RunnerLimits::TimeLimitSec). Unlike the iteration/node
-  /// fuel limits this is machine- and load-dependent, so such results must
-  /// not enter the shared result cache.
-  bool WallClockTruncated = false;
   RunnerReport Rewriting;      ///< saturation report
   /// Primitives removed by input canonicalization (duplicate Union
   /// operands; union is idempotent). 0 for duplicate-free inputs, where

@@ -3,10 +3,23 @@
 #include "egraph/Extract.h"
 #include "egraph/Rewrite.h"
 #include "egraph/Runner.h"
+#include "oracles/ReferenceExtract.h"
 
 #include <gtest/gtest.h>
 
 using namespace shrinkray;
+
+namespace {
+
+/// The one-best program of class \p Id: the single candidate of a k = 1
+/// extraction. Fails the test (and returns Empty) when there is none.
+RankedTerm oneBest(const EGraph &G, const CostFn &Cost, EClassId Id) {
+  std::vector<RankedTerm> Ranked = KBestExtractor(G, Cost, 1).extract(Id);
+  EXPECT_EQ(Ranked.size(), 1u) << "class " << Id;
+  return Ranked.empty() ? RankedTerm{tEmpty(), 0.0} : Ranked.front();
+}
+
+} // namespace
 
 TEST(ExtractTest, SingleTermRoundTrips) {
   EGraph G;
@@ -14,11 +27,10 @@ TEST(ExtractTest, SingleTermRoundTrips) {
   EClassId Root = G.addTerm(T);
   G.rebuild();
   AstSizeCost Cost;
-  Extractor Ex(G, Cost);
-  ASSERT_TRUE(Ex.bestCost(Root).has_value());
-  EXPECT_NEAR(*Ex.bestCost(Root), static_cast<double>(termSize(T)), 1e-6);
+  RankedTerm Best = oneBest(G, Cost, Root);
+  EXPECT_NEAR(Best.Cost, static_cast<double>(termSize(T)), 1e-6);
   // Numeric literals may extract as Int where the input spelled Float.
-  EXPECT_TRUE(termApproxEquals(Ex.extract(Root), T, 0.0));
+  EXPECT_TRUE(termApproxEquals(Best.T, T, 0.0));
 }
 
 TEST(ExtractTest, PicksCheaperAlternative) {
@@ -28,9 +40,9 @@ TEST(ExtractTest, PicksCheaperAlternative) {
   G.merge(Root, UnitId);
   G.rebuild();
   AstSizeCost Cost;
-  Extractor Ex(G, Cost);
-  EXPECT_DOUBLE_EQ(*Ex.bestCost(Root), 1.0);
-  EXPECT_EQ(Ex.extract(Root)->kind(), OpKind::Unit);
+  RankedTerm Best = oneBest(G, Cost, Root);
+  EXPECT_DOUBLE_EQ(Best.Cost, 1.0);
+  EXPECT_EQ(Best.T->kind(), OpKind::Unit);
 }
 
 TEST(ExtractTest, HandlesCyclesGracefully) {
@@ -42,8 +54,7 @@ TEST(ExtractTest, HandlesCyclesGracefully) {
   G.merge(Cyc, UnitId);
   G.rebuild();
   AstSizeCost Cost;
-  Extractor Ex(G, Cost);
-  EXPECT_EQ(Ex.extract(Cyc)->kind(), OpKind::Unit);
+  EXPECT_EQ(oneBest(G, Cost, Cyc).T->kind(), OpKind::Unit);
 }
 
 TEST(ExtractTest, ConstantFoldingShrinksExtraction) {
@@ -51,10 +62,10 @@ TEST(ExtractTest, ConstantFoldingShrinksExtraction) {
   EClassId Root = G.addTerm(tAdd(tFloat(1.5), tFloat(2.5)));
   G.rebuild();
   AstSizeCost Cost;
-  Extractor Ex(G, Cost);
+  RankedTerm Best = oneBest(G, Cost, Root);
   // The materialized literal (1 node) beats Add(_, _) (3 nodes).
-  EXPECT_DOUBLE_EQ(*Ex.bestCost(Root), 1.0);
-  EXPECT_DOUBLE_EQ(Ex.extract(Root)->op().numericValue(), 4.0);
+  EXPECT_DOUBLE_EQ(Best.Cost, 1.0);
+  EXPECT_DOUBLE_EQ(Best.T->op().numericValue(), 4.0);
 }
 
 TEST(ExtractTest, SharedSubtreesExtractConsistently) {
@@ -63,8 +74,7 @@ TEST(ExtractTest, SharedSubtreesExtractConsistently) {
   EClassId Root = G.addTerm(tUnion(Shared, Shared));
   G.rebuild();
   AstSizeCost Cost;
-  Extractor Ex(G, Cost);
-  TermPtr Out = Ex.extract(Root);
+  TermPtr Out = oneBest(G, Cost, Root).T;
   EXPECT_TRUE(termEquals(Out->child(0), Out->child(1)));
 }
 
@@ -90,8 +100,7 @@ TEST(ExtractTest, CostFunctionChangesChoice) {
   G.merge(Root, Inter);
   G.rebuild();
   AntiUnionCost Cost;
-  Extractor Ex(G, Cost);
-  EXPECT_EQ(Ex.extract(Root)->kind(), OpKind::Inter);
+  EXPECT_EQ(oneBest(G, Cost, Root).T->kind(), OpKind::Inter);
 }
 
 TEST(KBestTest, SingleCandidateGraph) {
@@ -132,7 +141,7 @@ TEST(KBestTest, FirstCandidateMatchesOneBest) {
   Runner R(RunnerLimits{.IterLimit = 3});
   R.run(G, Rules);
   AstSizeCost Cost;
-  Extractor One(G, Cost);
+  ReferenceExtractor One(G, Cost);
   KBestExtractor Many(G, Cost, 4);
   auto Ranked = Many.extract(Root);
   ASSERT_FALSE(Ranked.empty());

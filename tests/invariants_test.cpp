@@ -89,8 +89,9 @@ TEST(DepthCostTest, ComputesAstDepth) {
   EClassId Root = G.addTerm(T);
   G.rebuild();
   AstDepthCost Cost;
-  Extractor Ex(G, Cost);
-  EXPECT_DOUBLE_EQ(*Ex.bestCost(Root), static_cast<double>(termDepth(T)));
+  std::vector<RankedTerm> Best = KBestExtractor(G, Cost, 1).extract(Root);
+  ASSERT_EQ(Best.size(), 1u);
+  EXPECT_DOUBLE_EQ(Best[0].Cost, static_cast<double>(termDepth(T)));
 }
 
 TEST(DepthCostTest, PicksShallowerAlternative) {
@@ -102,9 +103,9 @@ TEST(DepthCostTest, PicksShallowerAlternative) {
   G.merge(Deep, Shallow);
   G.rebuild();
   AstDepthCost Cost;
-  Extractor Ex(G, Cost);
-  TermPtr Out = Ex.extract(Deep);
-  EXPECT_EQ(termDepth(Out), termDepth(tTranslate(3, 0, 0, tUnit())));
+  std::vector<RankedTerm> Best = KBestExtractor(G, Cost, 1).extract(Deep);
+  ASSERT_EQ(Best.size(), 1u);
+  EXPECT_EQ(termDepth(Best[0].T), termDepth(tTranslate(3, 0, 0, tUnit())));
 }
 
 //===----------------------------------------------------------------------===//

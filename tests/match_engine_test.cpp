@@ -15,6 +15,7 @@
 
 #include "egraph/Runner.h"
 #include "models/Models.h"
+#include "oracles/ReferenceMatch.h"
 #include "rewrites/Rules.h"
 #include "support/Rng.h"
 
@@ -46,7 +47,7 @@ std::vector<std::pair<EClassId, Subst>>
 referenceSearch(const Pattern &P, const EGraph &G) {
   std::vector<std::pair<EClassId, Subst>> Out;
   for (EClassId Id : G.classIds())
-    for (Subst &S : P.matchClassReference(G, Id))
+    for (Subst &S : matchClassReference(G, P, Id))
       Out.emplace_back(Id, std::move(S));
   return Out;
 }
@@ -180,7 +181,7 @@ TEST(MatchVmTest, EquivalentToReferenceOnEveryPipelineRule) {
     const Pattern &P = R.lhs();
     for (EClassId Id : G.classIds()) {
       std::vector<Subst> Vm = P.matchClass(G, Id);
-      std::vector<Subst> Ref = P.matchClassReference(G, Id);
+      std::vector<Subst> Ref = matchClassReference(G, P, Id);
       ASSERT_EQ(Vm.size(), Ref.size())
           << R.name() << " differs at class " << Id;
       // The VM visits nodes in the same depth-first order as the

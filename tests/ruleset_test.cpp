@@ -6,7 +6,9 @@
 //  * differential: compiled-group search returns exactly the per-rule
 //    searchIn() results — same roots, same substitutions, same order —
 //    on every rule database the pipeline uses and on adversarial
-//    shared-prefix rule sets over hand-built graphs;
+//    shared-prefix rule sets over hand-built graphs, and a RuleSet
+//    compiled from a temporary vector matches like one compiled from a
+//    named vector;
 //  * trie shape: shared Bind/Compare prefixes are actually merged;
 //  * determinism: reruns produce identical e-graphs and identical
 //    (non-timing) reports;
@@ -143,6 +145,17 @@ TEST(RuleSetDifferential, EveryRuleFamily) {
   expectSameMatches(G, identityRules(), "identity");
   expectSameMatches(G, listAlgebraRules(), "list-algebra");
   expectSameMatches(G, allRewrites(), "allRewrites");
+}
+
+TEST(RuleSetDifferential, OwnsRulesCompiledFromATemporary) {
+  // The temporary rule vector dies at the end of its statement, so every
+  // later search reads rules the RuleSet must own.
+  const RuleSet FromTemporary(pipelineRules());
+  const std::vector<Rewrite> Rules = pipelineRules();
+  const RuleSet FromNamed(Rules);
+  EGraph G;
+  loadModel(G, "3148599:box-tray", 8);
+  EXPECT_EQ(groupedSearch(G, FromTemporary), groupedSearch(G, FromNamed));
 }
 
 TEST(RuleSetDifferential, AdversarialSharedPrefixes) {

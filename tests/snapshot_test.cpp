@@ -20,6 +20,7 @@
 #include "egraph/Extract.h"
 #include "egraph/Runner.h"
 #include "models/Models.h"
+#include "oracles/ReferenceExtract.h"
 #include "rewrites/Rules.h"
 #include "service/ResultCache.h"
 

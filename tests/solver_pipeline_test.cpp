@@ -29,6 +29,7 @@
 #include "egraph/Extract.h"
 #include "egraph/Runner.h"
 #include "models/Models.h"
+#include "oracles/ReferenceExtract.h"
 #include "rewrites/Rules.h"
 #include "solvers/FunctionSolver.h"
 #include "solvers/Prune.h"
